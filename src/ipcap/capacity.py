@@ -3,9 +3,12 @@
 The capacity of a unit-norm target phi against a state matrix X = P S Q^T is
 sum_j (p_j^T phi)^2 over the rank-r left singular directions, identical to the
 least-squares emulation score but computed without forming (X^T X)^{-1}.
-Sweeps batch thousands of targets through one GEMM per chunk and decide
-significance with exact permutation-null moments, falling back to a shared
-panel of shuffled surrogates only for borderline targets.
+Sweeps batch thousands of targets through one GEMM per chunk. A target is kept
+iff raw > factor * (k-th largest of its n_surrogates shuffled-surrogate
+capacities); exact permutation-null moments decide most targets, and a shared
+panel of shuffled surrogates decides the borderline ones. The panel stops
+drawing for a target once its decision is fixed, which leaves the decision
+unchanged.
 """
 
 from __future__ import annotations
@@ -277,34 +280,31 @@ def _screen_bounds(stats: dict, phi_mean: float) -> tuple[float, float]:
     return b_lo, b_hi
 
 
-def _panel_perms(threshold: ThresholdConfig, T: int) -> np.ndarray:
-    rng = np.random.default_rng(threshold.seed)
-    dtype = np.int32 if T < 2**31 else np.int64
-    perms = np.empty((threshold.n_surrogates, T), dtype=dtype)
-    for i in range(threshold.n_surrogates):
-        perms[i] = rng.permutation(T)
-    return perms
-
-
-def _panel_epsilons(
-    basis: SvdBasis, perms: np.ndarray, phis: np.ndarray, threshold: ThresholdConfig
+def _panel_keep(
+    basis: SvdBasis, perm, phis: np.ndarray, raws: np.ndarray, threshold: ThresholdConfig
 ) -> np.ndarray:
-    """Exact surrogate thresholds for a batch of unit-norm target columns.
+    """Shuffle-surrogate keep/reject decisions for a batch of unit-norm target rows.
 
-    Shuffling the target by pi gives the same capacity as gathering the basis
-    rows by pi^{-1}; gathering by the stored permutation instead draws from
-    the identical uniform ensemble, so the basis is permuted once per
-    surrogate and reused for the whole batch.
+    Draw i hits a target when factor * cap_i >= raw; a target is kept iff it
+    has fewer than k hits over all draws. Hits only grow, so a target is
+    rejected at its k-th hit without the remaining draws (Besag & Clifford
+    1991), and only undecided rows are projected. Shuffling the target by pi
+    gives the same capacity as gathering the basis rows by pi^{-1}; gathering
+    by the drawn permutation perm(i) instead samples the identical uniform
+    ensemble, so the basis is permuted once per draw for the whole batch.
     """
-    n = perms.shape[0]
-    caps = np.empty((n, phis.shape[1]))
-    for i in range(n):
-        Pp = basis.P[perms[i]]
-        S = Pp.T @ phis
-        caps[i] = np.einsum("rb,rb->b", S, S)
-    caps.sort(axis=0)
     k = threshold.quantile_index()
-    return threshold.factor * caps[n - k]
+    hits = np.zeros(raws.size, dtype=int)
+    alive = np.arange(raws.size)
+    for i in range(threshold.n_surrogates):
+        if alive.size == 0:
+            break
+        S = phis @ basis.P[perm(i)]
+        hits[alive] += threshold.factor * np.einsum("br,br->b", S, S) >= raws
+        undecided = hits[alive] < k
+        if not undecided.all():
+            alive, phis, raws = alive[undecided], phis[undecided], raws[undecided]
+    return hits < k
 
 
 def _sweep_window(
@@ -345,7 +345,8 @@ def capacity_sweep(
     start, end = _sweep_window(specs, z, T, window)
 
     max_deg = max(n for spec in specs for _, n in spec.terms)
-    table = eval_table(family, z, max_deg)
+    # degree-major rows, so every factor below is a contiguous slice
+    table = np.ascontiguousarray(eval_table(family, z, max_deg).T)
     trig_cache: dict[tuple[int, str], np.ndarray] = {}
 
     def trig(k: int, kind: str) -> np.ndarray:
@@ -356,7 +357,15 @@ def capacity_sweep(
         return trig_cache[key]
 
     stats = _basis_screen_stats(basis) if threshold is not None else None
-    perms: np.ndarray | None = None
+    # surrogate permutations, drawn in stream order on first use and shared by all flushes
+    rng = np.random.default_rng(threshold.seed) if threshold is not None else None
+    perms: list[np.ndarray] = []
+    perm_dtype = np.int32 if T < 2**31 else np.int64
+
+    def perm(i: int) -> np.ndarray:
+        while len(perms) <= i:
+            perms.append(rng.permutation(T).astype(perm_dtype))
+        return perms[i]
 
     results: dict[str, tuple[int, float, float]] = {}
     skipped: list[tuple[str, str]] = []
@@ -364,51 +373,49 @@ def capacity_sweep(
     pending_info: list[tuple[str, int, float]] = []
 
     def flush_pending():
-        nonlocal perms
         if not pending_phis:
             return
-        if perms is None:
-            perms = _panel_perms(threshold, T)
-        phis = np.stack(pending_phis, axis=1)
-        eps = _panel_epsilons(basis, perms, phis, threshold)
-        for (label, order, raw), e in zip(pending_info, eps):
-            results[label] = (order, raw, apply_threshold(raw, float(e)))
+        raws = np.array([raw for _, _, raw in pending_info])
+        keep = _panel_keep(basis, perm, np.stack(pending_phis), raws, threshold)
+        for (label, order, raw), kept in zip(pending_info, keep):
+            results[label] = (order, raw, raw if kept else 0.0)
         pending_phis.clear()
         pending_info.clear()
 
+    Z = np.empty((min(batch, len(specs)), T))
     for lo in range(0, len(specs), batch):
-        chunk = specs[lo : lo + batch]
-        cols = []
         infos = []
-        for spec in chunk:
+        for spec in specs[lo : lo + batch]:
             label = spec.label()
             if start < spec.max_delay:
                 skipped.append((label, f"delay {spec.max_delay} exceeds window start {start}"))
                 continue
-            values = np.ones(T)
-            for s, n in spec.terms:
-                values = values * table[start - s : end - s, n]
+            row = Z[len(infos)]
+            (s, n), *rest = spec.terms
+            row[:] = table[n, start - s : end - s]
+            for s, n in rest:
+                row *= table[n, start - s : end - s]
             if spec.temporal is not None:
-                values = values * trig(*spec.temporal)
-            norm = float(np.linalg.norm(values))
+                row *= trig(*spec.temporal)
+            norm = float(np.linalg.norm(row))
             if norm == 0.0 or not math.isfinite(norm):
                 skipped.append((label, f"degenerate target (norm {norm})"))
                 continue
-            cols.append(values / norm)
+            row /= norm
             infos.append((label, spec.total_degree))
-        if not cols:
+        if not infos:
             continue
-        Z = np.stack(cols, axis=1)
+        Zc = Z[: len(infos)]
         if basis.rank == 0:
-            raws = np.zeros(Z.shape[1])
+            raws = np.zeros(len(infos))
         else:
-            S = basis.P.T @ Z
-            raws = np.einsum("rb,rb->b", S, S)
+            S = Zc @ basis.P
+            raws = np.einsum("br,br->b", S, S)
         if threshold is None:
             for (label, order), raw in zip(infos, raws):
                 results[label] = (order, float(raw), float(raw))
             continue
-        phi_means = Z.mean(axis=0)
+        phi_means = Zc.mean(axis=1)
         for idx, ((label, order), raw) in enumerate(zip(infos, raws)):
             raw = float(raw)
             b_lo, b_hi = _screen_bounds(stats, float(phi_means[idx]))
@@ -417,7 +424,7 @@ def capacity_sweep(
             elif raw <= threshold.factor * b_lo:
                 results[label] = (order, raw, 0.0)
             else:
-                pending_phis.append(Z[:, idx].copy())
+                pending_phis.append(Z[idx].copy())
                 pending_info.append((label, order, raw))
                 if len(pending_phis) >= 128:
                     flush_pending()

@@ -23,7 +23,7 @@ from ipcap import (
     surrogate_threshold,
     tipc_spectrum,
 )
-from ipcap.capacity import apply_threshold
+from ipcap.capacity import SvdBasis, _panel_keep, apply_threshold
 from ipcap.distributions import sample_stream
 
 
@@ -308,6 +308,150 @@ def test_sweep_matches_single_target_path():
         assert entry.raw_capacity == pytest.approx(
             compute_capacity(basis, target), abs=1e-12
         )
+
+    # Several chunks of 3 targets. T = 600 rows end-aligned on 610 inputs puts
+    # the window start at 11. zeta[0] is NaN, so the delay-11 target is
+    # degenerate; delay 12 does not fit the window.
+    zeta = sample_stream(DistributionSpec(kind="uniform"), 610, seed=53)
+    zeta[0] = np.nan
+    rng = np.random.default_rng(59)
+    lagged = [zeta[11 - s : 611 - s] for s in (1, 2, 3)]
+    state = StateMatrix(np.column_stack(lagged + [lagged[0] * lagged[1], rng.normal(size=600)]))
+    basis = decompose(state)
+    family = PolynomialFamily(kind="legendre")
+    specs = [
+        ChaosSpec(terms=((1, 1),)),
+        ChaosSpec(terms=((2, 1), (11, 1))),  # degenerate, mid-chunk
+        ChaosSpec(terms=((1, 1),), temporal=(3, "cos")),
+        ChaosSpec(terms=((1, 1), (2, 1))),
+        ChaosSpec(terms=((12, 1),)),  # skipped, mid-chunk
+        ChaosSpec(terms=((3, 2),), temporal=(5, "sin")),
+        ChaosSpec(terms=((2, 2),)),
+        ChaosSpec(terms=((1, 1), (3, 3)), temporal=(1, "cos")),
+        ChaosSpec(terms=((3, 1),)),
+    ]
+    kept = [spec for i, spec in enumerate(specs) if i not in (1, 4)]
+    for threshold in (None, ThresholdConfig()):
+        report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, batch=3)
+        assert [label for label, _ in report.skipped] == [specs[1].label(), specs[4].label()]
+        assert "degenerate" in report.skipped[0][1] and "delay" in report.skipped[1][1]
+        raws = {e.spec: e.raw_capacity for e in report.entries}
+        assert sorted(raws) == sorted(spec.label() for spec in kept)
+        for spec in kept:
+            target = build_target(spec, family, zeta, (11, 611))
+            assert raws[spec.label()] == pytest.approx(compute_capacity(basis, target), abs=1e-12)
+
+
+def full_panel_keep(basis, perms, phis, raws, threshold):
+    """Exhaustive panel rule: keep iff raw > factor * (k-th largest of all surrogates)."""
+    caps = np.array([[float(np.sum((phi @ basis.P[p]) ** 2)) for p in perms] for phi in phis])
+    kth = np.sort(caps, axis=1)[:, -threshold.quantile_index()]
+    return raws > threshold.factor * kth
+
+
+def panel_draws(threshold, T):
+    """The panel's permutation stream, plus a lookup that records the draws used."""
+    rng = np.random.default_rng(threshold.seed)
+    perms = [rng.permutation(T) for _ in range(threshold.n_surrogates)]
+    used = []
+
+    def perm(i):
+        used.append(i)
+        return perms[i]
+
+    return perms, perm, used
+
+
+def panel_raws(basis, phis):
+    S = phis @ basis.P
+    return np.einsum("br,br->b", S, S)
+
+
+@pytest.mark.parametrize("pct", [1.0, 10.0, 30.0, 100.0])
+def test_panel_early_exit_matches_full_panel(pct):
+    T = 120
+    threshold = ThresholdConfig(n_surrogates=40, significance_pct=pct, seed=3)
+    rng = np.random.default_rng(61)
+    X = rng.normal(size=(T, 4))
+    bases = [
+        decompose(StateMatrix(X)),
+        decompose(StateMatrix(np.column_stack([X[:, 0], X[:, 1], X[:, 0] + X[:, 1]]))),
+        decompose(StateMatrix(np.zeros((T, 2)))),
+    ]
+    assert [b.rank for b in bases] == [4, 2, 0]
+    for basis in bases:
+        signal = basis.P @ rng.normal(size=basis.rank)
+        noise = rng.normal(size=(40, T))
+        phis = np.geomspace(1e-3, 1.0, 40)[:, None] * signal + noise / math.sqrt(T)
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        raws = panel_raws(basis, phis)
+        perms, perm, _ = panel_draws(threshold, T)
+        keep = _panel_keep(basis, perm, phis, raws, threshold)
+        assert keep.tolist() == full_panel_keep(basis, perms, phis, raws, threshold).tolist()
+        if basis.rank == 4:
+            assert 0 < keep.sum() < len(keep)
+        if basis.rank == 0:
+            assert not keep.any()
+
+
+def test_panel_exact_tie_is_rejected_after_k_draws():
+    # Hadamard rows all have squared norm r/T exactly, so a spike target scores
+    # raw = r/T on every permutation: factor * cap == raw on every draw.
+    H = np.array([[1.0]])
+    for _ in range(4):
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+    r = 4
+    basis = SvdBasis(P=H[:, :r] / 4.0, sigma=np.ones(r), Q=np.eye(r), rank=r, rank_tol=1e-10)
+    threshold = ThresholdConfig(n_surrogates=20, significance_pct=20.0, factor=1.0)
+    assert threshold.quantile_index() == 2
+    phis = np.eye(16)
+    raws = panel_raws(basis, phis)
+    assert (raws == r / 16).all()
+    perms, perm, used = panel_draws(threshold, 16)
+    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    assert not keep.any()
+    assert not full_panel_keep(basis, perms, phis, raws, threshold).any()
+    assert used == [0, 1]
+
+
+def test_panel_runs_every_draw_when_all_targets_are_kept():
+    T = 200
+    threshold = ThresholdConfig(n_surrogates=30, significance_pct=10.0, seed=5)
+    basis = decompose(StateMatrix(np.random.default_rng(67).normal(size=(T, 3))))
+    phis = np.ascontiguousarray(basis.P.T)
+    raws = panel_raws(basis, phis)
+    perms, perm, used = panel_draws(threshold, T)
+    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    assert keep.all()
+    assert full_panel_keep(basis, perms, phis, raws, threshold).all()
+    assert used == list(range(threshold.n_surrogates))
+
+
+def test_sweep_decisions_match_full_panel(monkeypatch):
+    from ipcap import build_target, enumerate_chaos
+
+    zeta = sample_stream(DistributionSpec(kind="uniform"), 410, seed=71)
+    state = StateMatrix(np.random.default_rng(73).normal(size=(400, 6)))
+    basis = decompose(state)
+    family = PolynomialFamily(kind="legendre")
+    specs = enumerate_chaos(3, 10)
+    threshold = ThresholdConfig(n_surrogates=40, significance_pct=10.0, factor=1.0, seed=7)
+    flushes = []
+
+    def recording_panel(basis, perm, phis, raws, threshold):
+        flushes.append(len(raws))
+        return _panel_keep(basis, perm, phis, raws, threshold)
+
+    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
+    report = capacity_sweep(basis, specs, family, zeta, threshold=threshold)
+    assert len(flushes) >= 2
+    perms, _, _ = panel_draws(threshold, basis.T)
+    by_label = {spec.label(): spec for spec in specs}
+    for e in report.entries:
+        target = build_target(by_label[e.spec], family, zeta, (11, 411))
+        phi = target.values[None, :]
+        expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
+        assert (e.thresholded_capacity != 0.0) == expected, e.spec
 
 
 def test_sweep_requires_specs():
