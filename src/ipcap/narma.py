@@ -81,51 +81,97 @@ def nullclines(
     return w1, n1, n2
 
 
+# Elements (steps x batch columns) of one input block. It bounds the memory of
+# the input stream, of its precomputed g*u_t*u_{t-9} term and of the
+# callback's full-width draws.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def _narma_batch(
     config: Narma10Config,
     init: np.ndarray,
     u_blocks,
     horizon: int,
-    block: int = 65536,
 ) -> np.ndarray:
     """Run many NARMA10 trajectories side by side; returns first divergence steps.
 
-    init is (10, B) with row 9 the most recent pre-run value. u_blocks(t0, t1)
-    must yield the shaped inputs for steps t0..t1-1 as a (t1-t0, B) array.
-    Diverged columns are reset to zero so the survivors keep exact arithmetic;
-    only the first divergence step is recorded (-1 means survived).
+    init is (10, B) with row 9 the most recent pre-run value. u_blocks(t0, t1,
+    cols) is called for consecutive blocks of steps and must return the finite,
+    shaped inputs of steps t0..t1-1 for the batch columns cols (a sorted index
+    array) as a (t1-t0, cols.size) array that it does not modify later. Returns,
+    per column, the first step at which |y| exceeds NARMA_DIVERGENCE_LIMIT, or
+    -1 where the column survives.
+
+    Each step computes, in this order and with one rounding per operation,
+        y_next = ((a*y + (b*y)*total) + (g*u_t)*u_{t-9}) + d
+        total = total + (y_next - y_{t-9})
+    where total is the sum of the ten most recent values and u before step 0
+    is zero. The input term (g*u_t)*u_{t-9} is precomputed per block.
+
+    Values go into an 11-slot ring, so y_next never overwrites y_{t-9} before
+    it is subtracted: step s writes slot s % 11, and one turn of 11 steps
+    overwrites every slot once. The limit is tested once per turn, over the
+    slots written in that turn (the init values are never tested), and a
+    column's earliest value over the limit gives its divergence step. That is
+    the step a test after every step would give: up to it the column holds
+    exactly the values such a run computes, and a value computed from finite
+    values within the limit is finite, or +-inf, never NaN. A diverged column
+    is set to NaN, which stays NaN and is never over the limit again, and is
+    dropped at the end of the block; the run stops once no column is left.
     """
     a, b, g, d = config.alpha, config.beta, config.gamma, config.delta
-    B = init.shape[1]
-    ring = init.astype(float).copy()
-    total = ring.sum(axis=0)
-    u_ring = np.zeros((9, B))
-    diverged = np.full(B, -1, dtype=np.int64)
     limit = NARMA_DIVERGENCE_LIMIT
+    history = np.ascontiguousarray(init, dtype=float)
+    B = history.shape[1]
+    diverged = np.full(B, -1, dtype=np.int64)
+    cols = np.arange(B)
+    total = history.sum(axis=0)
+    ring = np.empty((11, B))
+    ring[1:] = history  # y_{t-9} .. y_t before step 0; slot 0 is written first
+    lag = np.zeros((9, B))  # u_{t-9} .. u_{t-1}
+    rows = max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11
+    c_buf = np.empty(rows * B)
+    mul, add, sub = np.multiply, np.add, np.subtract
     t = 0
-    while t < horizon:
-        t1 = min(t + block, horizon)
-        U = u_blocks(t, t1)
-        for i in range(t1 - t):
-            step = t + i
-            newest = (step + 9) % 10
-            oldest = step % 10
-            u_now = U[i]
-            u_slot = step % 9
-            u_lag = u_ring[u_slot] if step >= 9 else 0.0
-            y = ring[newest]
-            y_next = a * y + b * y * total + g * u_now * u_lag + d
-            u_ring[u_slot] = u_now
-            bad = np.abs(y_next) > limit
-            if bad.any():
-                first = bad & (diverged < 0)
-                diverged[first] = step
-                y_next[bad] = 0.0
-                ring[:, bad] = 0.0
-                total[bad] = 0.0
-            total += y_next - ring[oldest]
-            ring[oldest] = y_next
-        t = t1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < horizon and cols.size:
+            t1 = min(t + rows, horizon)
+            U = u_blocks(t, t1, cols)
+            m = min(9, t1 - t)
+            C = c_buf[: U.size].reshape(U.shape)
+            mul(g, U, out=C)
+            mul(C[:m], lag[:m], out=C[:m])
+            mul(C[m:], U[: t1 - t - m], out=C[m:])
+            lag = U[-9:] if m == 9 else np.concatenate((lag[m:], U))
+            q = np.empty(cols.size)
+            # (y_t, slot written, y_{t-9}) for a step that writes slot k
+            slots = [(ring[k - 1], ring[k], ring[(k + 1) % 11]) for k in range(11)]
+            for j in range(0, t1 - t, 11):
+                turn = C[j : j + 11]
+                for (y, new, old), c in zip(slots, turn):
+                    mul(a, y, out=new)
+                    mul(b, y, out=q)
+                    mul(q, total, out=q)
+                    add(new, q, out=new)
+                    add(new, c, out=new)
+                    add(new, d, out=new)
+                    sub(new, old, out=q)
+                    add(total, q, out=total)
+                written = ring[: len(turn)]
+                top = np.fmax.reduce(written, axis=None)
+                bottom = np.fmin.reduce(written, axis=None)
+                if top > limit or bottom < -limit:
+                    over = np.abs(written) > limit
+                    hit = np.flatnonzero(over.any(axis=0))
+                    diverged[cols[hit]] = t + j + over[:, hit].argmax(axis=0)
+                    ring[:, hit] = np.nan
+                    total[hit] = np.nan
+            t = t1
+            live = diverged[cols] < 0
+            if not live.all():
+                # compress keeps the rows C-contiguous; ring[:, live] would not
+                cols, total = cols[live], total[live]
+                ring, lag = np.compress(live, ring, axis=1), np.compress(live, lag, axis=1)
     return diverged
 
 
@@ -147,6 +193,8 @@ def basin_scan(
     """
     if mode not in ("w", "psi_sigma"):
         raise ParameterError(f"mode: must be 'w' or 'psi_sigma', got {mode!r}")
+    if max_steps < 1:
+        raise ParameterError(f"max_steps: must be >= 1, got {max_steps}")
     ga = np.asarray(grid_a, dtype=float).ravel()
     gb = np.asarray(grid_b, dtype=float).ravel()
     A, Bn = ga.size, gb.size
@@ -162,14 +210,14 @@ def basin_scan(
         scales = bv
     rng = np.random.default_rng(seed)
 
-    def u_blocks(t0, t1):
+    def u_blocks(t0, t1, cols):
         zeta = rng.uniform(-1.0, 1.0, size=t1 - t0)
         # u in [0, scale]: mu = kappa = scale / 2 per column
-        return (scales / 2.0)[None, :] * (1.0 + zeta)[:, None]
+        return (scales[cols] / 2.0)[None, :] * (1.0 + zeta)[:, None]
 
     if mode == "w" and sigma == 0.0:
-        def u_blocks(t0, t1):  # noqa: F811 - deterministic zero-input scan
-            return np.zeros((t1 - t0, A * Bn))
+        def u_blocks(t0, t1, cols):  # noqa: F811 - deterministic zero-input scan
+            return np.broadcast_to(0.0, (t1 - t0, cols.size))
 
     steps = _narma_batch(config, init, u_blocks, max_steps)
     return steps.reshape(A, Bn)
@@ -182,7 +230,6 @@ def divergence_probability(
     horizon: int = 1_000_000,
     seed: int = 0,
     symmetric: bool = False,
-    block: int = 8192,
 ) -> list[tuple[float, float]]:
     """Fraction of input streams per sigma that survive the horizon.
 
@@ -191,6 +238,8 @@ def divergence_probability(
     """
     if n_seeds < 1:
         raise ParameterError(f"n_seeds: must be >= 1, got {n_seeds}")
+    if horizon < 1:
+        raise ParameterError(f"horizon: must be >= 1, got {horizon}")
     sig = [float(s) for s in sigmas]
     shapings = [
         InputShaping.symmetric(s) if symmetric else InputShaping.asymmetric(s)
@@ -201,11 +250,16 @@ def divergence_probability(
     init = np.tile(np.array(config.init)[:, None], (1, len(sig) * n_seeds))
     rng = np.random.default_rng(seed)
 
-    def u_blocks(t0, t1):
+    def u_blocks(t0, t1, cols):
+        # the full-width draw keeps each column's stream independent of which
+        # columns are still live
         zeta = rng.uniform(-1.0, 1.0, size=(t1 - t0, init.shape[1]))
-        return mu + kappa * zeta
+        u = np.take(zeta, cols, axis=1)
+        u *= kappa[cols]
+        u += mu[cols]
+        return u
 
-    diverged = _narma_batch(config, init, u_blocks, horizon, block=block)
+    diverged = _narma_batch(config, init, u_blocks, horizon)
     survived = (diverged < 0).reshape(len(sig), n_seeds)
     return [(s, float(row.mean())) for s, row in zip(sig, survived)]
 

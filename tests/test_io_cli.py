@@ -245,6 +245,18 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exit_code_on_nonpositive_narma_horizon(tmp_path, capsys):
+    for analysis in (
+        {"divergence": {"sigmas": [0.3], "n_seeds": 2, "horizon": 0}},
+        {"basin": {"a_count": 2, "b_count": 2, "max_steps": 0}},
+    ):
+        cfg = {"name": "empty", "kind": "narma_suite", "analysis": analysis}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["narma", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_missing_file(tmp_path, capsys):
     code = main(["ipc", "--config", str(tmp_path / "absent.json"), "--outdir", str(tmp_path)])
     assert code == 3

@@ -1,6 +1,8 @@
 """NARMA10 analysis: fixed points, basins, Lyapunov spectra, surrogate model."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ from ipcap import (
     simulate_approx_model,
     simulate_narma10,
 )
+from ipcap import narma
+from ipcap.systems import NARMA_DIVERGENCE_LIMIT
+
+_NARMA_BATCH = narma._narma_batch
 
 
 def test_fixed_point_zero_mean_input():
@@ -116,6 +122,23 @@ def test_divergence_probability_endpoints():
     out = divergence_probability(cfg, [0.3, 0.9], n_seeds=20, horizon=20000, seed=2)
     assert out[0] == (0.3, 1.0)
     assert out[1] == (0.9, 0.0)
+
+
+def test_divergence_probability_stops_when_every_trajectory_diverged():
+    cfg = Narma10Config()
+    t0 = time.perf_counter()
+    assert divergence_probability(cfg, [0.9], n_seeds=20, horizon=10**8) == [(0.9, 0.0)]
+    assert divergence_probability(cfg, [], horizon=10**8) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_nonpositive_horizons_are_rejected():
+    cfg = Narma10Config()
+    for horizon in (0, -5):
+        with pytest.raises(ParameterError, match="horizon"):
+            divergence_probability(cfg, [0.3], n_seeds=2, horizon=horizon)
+        with pytest.raises(ParameterError, match="max_steps"):
+            basin_scan(cfg, [0.0], [0.0], max_steps=horizon)
 
 
 def test_divergence_probability_deterministic():
@@ -253,3 +276,215 @@ def test_approx_model_tracks_true_narma():
     err = series[100:] - approx[100:]
     nrmse = math.sqrt(float(err @ err) / float(np.sum((series[100:] - series[100:].mean()) ** 2)))
     assert nrmse < 0.25
+
+
+# The per-step batch loop that _narma_batch replaced, kept verbatim as the
+# exactness oracle: it tests the limit after every step and never drops a
+# column.
+def _reference_narma_batch(
+    config: Narma10Config,
+    init: np.ndarray,
+    u_blocks,
+    horizon: int,
+    block: int = 65536,
+) -> np.ndarray:
+    """Run many NARMA10 trajectories side by side; returns first divergence steps.
+
+    init is (10, B) with row 9 the most recent pre-run value. u_blocks(t0, t1)
+    must yield the shaped inputs for steps t0..t1-1 as a (t1-t0, B) array.
+    Diverged columns are reset to zero so the survivors keep exact arithmetic;
+    only the first divergence step is recorded (-1 means survived).
+    """
+    a, b, g, d = config.alpha, config.beta, config.gamma, config.delta
+    B = init.shape[1]
+    ring = init.astype(float).copy()
+    total = ring.sum(axis=0)
+    u_ring = np.zeros((9, B))
+    diverged = np.full(B, -1, dtype=np.int64)
+    limit = NARMA_DIVERGENCE_LIMIT
+    t = 0
+    while t < horizon:
+        t1 = min(t + block, horizon)
+        U = u_blocks(t, t1)
+        for i in range(t1 - t):
+            step = t + i
+            newest = (step + 9) % 10
+            oldest = step % 10
+            u_now = U[i]
+            u_slot = step % 9
+            u_lag = u_ring[u_slot] if step >= 9 else 0.0
+            y = ring[newest]
+            y_next = a * y + b * y * total + g * u_now * u_lag + d
+            u_ring[u_slot] = u_now
+            bad = np.abs(y_next) > limit
+            if bad.any():
+                first = bad & (diverged < 0)
+                diverged[first] = step
+                y_next[bad] = 0.0
+                ring[:, bad] = 0.0
+                total[bad] = 0.0
+            total += y_next - ring[oldest]
+            ring[oldest] = y_next
+        t = t1
+    return diverged
+
+
+def _reference_adapter(config, init, u_blocks, horizon):
+    """The per-step reference loop, fed every column of the same input callback."""
+    cols = np.arange(init.shape[1])
+    return _reference_narma_batch(
+        config, init, lambda t0, t1: u_blocks(t0, t1, cols), horizon
+    )
+
+
+def _reference_divergence_steps(config, sigmas, n_seeds, horizon, seed):
+    """Per-column steps of divergence_probability's batch, with its old callback."""
+    shapings = [InputShaping.asymmetric(s) for s in sigmas]
+    mu = np.repeat([sh.mu for sh in shapings], n_seeds)
+    kappa = np.repeat([sh.kappa for sh in shapings], n_seeds)
+    init = np.tile(np.array(config.init)[:, None], (1, len(sigmas) * n_seeds))
+    rng = np.random.default_rng(seed)
+
+    def u_blocks(t0, t1):
+        zeta = rng.uniform(-1.0, 1.0, size=(t1 - t0, init.shape[1]))
+        return mu + kappa * zeta
+
+    return _reference_narma_batch(config, init, u_blocks, horizon, block=8192)
+
+
+def _batch_steps(monkeypatch, batch, fn, *args, **kwargs):
+    """Per-column divergence steps of the one batch that fn(*args, **kwargs) runs."""
+    runs = []
+
+    def recording(config, init, u_blocks, horizon):
+        runs.append(batch(config, init, u_blocks, horizon))
+        return runs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(narma, "_narma_batch", recording)
+        fn(*args, **kwargs)
+    (steps,) = runs
+    return steps
+
+
+def _assert_matches_reference(monkeypatch, fn, *args, **kwargs):
+    expected = _batch_steps(monkeypatch, _reference_adapter, fn, *args, **kwargs)
+    got = _batch_steps(monkeypatch, _NARMA_BATCH, fn, *args, **kwargs)
+    assert np.array_equal(got, expected)
+    return expected
+
+
+@pytest.mark.parametrize("block_rows", [33, None])
+def test_batch_matches_reference_on_driven_streams(monkeypatch, block_rows):
+    sigmas = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    if block_rows is not None:
+        monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", block_rows * 10 * len(sigmas))
+    cfg = Narma10Config()
+    steps = _reference_divergence_steps(cfg, sigmas, n_seeds=10, horizon=3000, seed=1)
+    got = _batch_steps(
+        monkeypatch, _NARMA_BATCH, divergence_probability, cfg, sigmas, n_seeds=10, horizon=3000, seed=1
+    )
+    assert np.array_equal(got, steps)
+    hit = steps[steps >= 0]
+    # the data covers survivors, first-block divergences and divergences on
+    # the last step of a ring turn and of a 33-step block
+    assert (steps < 0).sum() == 30
+    assert (hit < 33).any()
+    assert (hit % 33 == 32).any()
+    assert ((hit % 11 == 10) & (hit % 33 != 32)).any()
+
+
+@pytest.mark.parametrize(
+    "grid_a, grid_b, mode, sigma",
+    [
+        (np.linspace(-6.0, 6.0, 40), np.linspace(-6.0, 6.0, 40), "w", 0.0),
+        (np.linspace(-6.0, 6.0, 30), np.linspace(-6.0, 6.0, 30), "w", 0.3),
+        (np.linspace(-6.0, 2.0, 40), np.linspace(0.0, 1.0, 40), "psi_sigma", 0.0),
+    ],
+)
+def test_basin_scan_matches_reference(monkeypatch, grid_a, grid_b, mode, sigma):
+    steps = _assert_matches_reference(
+        monkeypatch,
+        basin_scan,
+        Narma10Config(),
+        grid_a,
+        grid_b,
+        max_steps=2000,
+        mode=mode,
+        sigma=sigma,
+        seed=9,
+    )
+    assert (steps < 0).any() and (steps >= 0).any()
+
+
+@pytest.mark.parametrize("block_rows", [11, 22, 44])
+def test_batch_ignores_block_boundaries(monkeypatch, block_rows):
+    monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", block_rows * 40 * 40)  # 1600 cells
+    _assert_matches_reference(
+        monkeypatch,
+        basin_scan,
+        Narma10Config(),
+        np.linspace(-6.0, 2.0, 40),
+        np.linspace(0.0, 1.0, 40),
+        max_steps=400,
+        mode="psi_sigma",
+        seed=4,
+    )
+    monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", block_rows * 2 * 20)  # 40 streams
+    _assert_matches_reference(
+        monkeypatch,
+        divergence_probability,
+        Narma10Config(),
+        [0.5, 0.7],
+        n_seeds=20,
+        horizon=500,
+        seed=7,
+    )
+
+
+def test_batch_never_tests_the_init_history():
+    cfg = Narma10Config()
+    init = np.tile(np.array(cfg.init)[:, None], (1, 6))
+    init[3, 0] = 2e6
+    init[9, 1] = -5e6
+    init[0, 2] = 1e300
+    init[5, 3] = 3e5  # within the limit, but drives the column over it
+    rng = np.random.default_rng(17)
+    U = 0.2 + 0.2 * rng.uniform(-1.0, 1.0, size=(40, 6))
+    expected = _reference_narma_batch(cfg, init, lambda t0, t1: U[t0:t1], 40)
+    got = _NARMA_BATCH(cfg, init, lambda t0, t1, cols: U[t0:t1, cols], 40)
+    assert np.array_equal(got, expected)
+    assert expected[0] >= 0 and expected[3] >= 0 and expected[5] == -1
+    # horizons shorter than the input lag and than one ring turn
+    for horizon in (1, 5, 12):
+        expected = _reference_narma_batch(cfg, init, lambda t0, t1: U[t0:t1], horizon)
+        got = _NARMA_BATCH(cfg, init, lambda t0, t1, cols: U[t0:t1, cols], horizon)
+        assert np.array_equal(got, expected)
+
+
+def test_batch_keeps_the_scalar_rounding_order():
+    # Each column is steered to within a few ulps of the limit at step 9, so
+    # its divergence step depends on the rounding of every operation there;
+    # simulate_narma10 evaluates the same operations in the same order.
+    cfg = Narma10Config(shaping=InputShaping(mu=0.0, kappa=1.0))
+    a, b, g, d = cfg.alpha, cfg.beta, cfg.gamma, cfg.delta
+    limit = NARMA_DIVERGENCE_LIMIT
+    rng = np.random.default_rng(23)
+    n = 2000
+    init = np.zeros((10, n))
+    init[9] = rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.integers(-3, 6, n)
+    u = np.zeros((20, n))
+    u[0] = 1.3
+    expected = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        col = dataclasses.replace(cfg, init=tuple(init[:, k]))
+        warm, _ = simulate_narma10(col, u[:9, k])
+        y9 = warm[-1]
+        state = a * y9 + b * y9 * np.concatenate((init[:, k], warm))[-10:].sum()
+        offset = rng.uniform(-4.0, 4.0) * np.spacing(limit)
+        u[9, k] = ((limit - state - d) + offset) / (g * u[0, k])
+        _, at = simulate_narma10(col, u[:, k])
+        expected[k] = -1 if at is None else at
+    got = _NARMA_BATCH(cfg, init, lambda t0, t1, cols: u[t0:t1, cols], u.shape[0])
+    assert np.array_equal(got, expected)
+    assert (expected == 9).any() and (expected == 10).any()
