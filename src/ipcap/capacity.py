@@ -3,23 +3,29 @@
 The capacity of a unit-norm target phi against a state matrix X = P S Q^T is
 sum_j (p_j^T phi)^2 over the rank-r left singular directions, identical to the
 least-squares emulation score but computed without forming (X^T X)^{-1}.
-Sweeps batch thousands of targets through one GEMM per chunk. A target is kept
-iff raw > factor * (k-th largest of its n_surrogates shuffled-surrogate
-capacities); exact permutation-null moments decide most targets, and a shared
-panel of shuffled surrogates decides the borderline ones. The panel stops
-drawing for a target once its decision is fixed, which leaves the decision
-unchanged.
+Sweeps batch thousands of targets through one GEMM per chunk.
+
+Threshold rule: a target is kept iff raw > factor * (k-th largest capacity of
+its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
+The shuffles come from one permutation stream per seed, shared by
+surrogate_threshold and the sweep, so raw > surrogate_threshold(...) is
+exactly the sweep's decision. In the sweep, exact permutation-null moments
+decide most targets and the shared surrogate panel decides the borderline
+ones; the panel stops drawing for a target once its decision is fixed, which
+leaves the decision unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .polychaos import ChaosSpec, PolynomialFamily, TargetSeries, eval_table
+from .polychaos import _crossed, _fill_target, _time_factor
 
 # rows discarded from the head of every simulated trajectory before analysis
 DEFAULT_WASHOUT = 1000
@@ -144,17 +150,31 @@ def decompose(state: StateMatrix, rank_tol: float | None = None) -> SvdBasis:
     return SvdBasis(P=U[:, :r], sigma=s[:r], Q=Vt[:r].T, rank=r, rank_tol=rank_tol)
 
 
-def compute_capacity(basis: SvdBasis, target: TargetSeries) -> float:
-    """Capacity sum_j (p_j^T phi)^2 of one unit-norm target."""
-    phi = target.values
+def _capacities(phis: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Capacities sum_j (p_j^T phi)^2 of the unit-norm target rows phis against basis P."""
+    S = phis @ P
+    return np.einsum("br,br->b", S, S)
+
+
+def _perm_stream(seed: int, T: int):
+    """The surrogate panel of a seed: permutations of range(T) from default_rng(seed), in order."""
+    rng = np.random.default_rng(seed)
+    dtype = np.int32 if T < 2**31 else np.int64
+    while True:
+        yield rng.permutation(T).astype(dtype)
+
+
+def _check_length(phi: np.ndarray, basis: SvdBasis) -> None:
     if phi.shape[0] != basis.T:
         raise ShapeError(
             f"target length {phi.shape[0]} does not match state length {basis.T}"
         )
-    if basis.rank == 0:
-        return 0.0
-    s = basis.P.T @ phi
-    return float(s @ s)
+
+
+def compute_capacity(basis: SvdBasis, target: TargetSeries) -> float:
+    """Capacity sum_j (p_j^T phi)^2 of one unit-norm target."""
+    _check_length(target.values, basis)
+    return float(_capacities(target.values[None, :], basis.P)[0])
 
 
 def apply_threshold(raw: float, epsilon: float) -> float:
@@ -172,27 +192,16 @@ def surrogate_threshold(
 ) -> float:
     """Significance cutoff from capacities of time-shuffled target copies.
 
-    Returns factor times the (significance/2)% upper quantile of the shuffled
-    capacities; with the defaults (200 surrogates at 1%) that is twice the
-    largest surrogate capacity.
+    Returns factor times the k-th largest of the n_surrogates shuffled
+    capacities (the threshold rule above); with the defaults (200 surrogates
+    at 1%) that is twice the largest.
     """
     cfg = ThresholdConfig(n_surrogates, significance_pct, factor, seed)
-    phi = target.values
-    if phi.shape[0] != basis.T:
-        raise ShapeError(
-            f"target length {phi.shape[0]} does not match state length {basis.T}"
-        )
-    rng = np.random.default_rng(seed)
-    caps = np.empty(n_surrogates)
-    for i in range(n_surrogates):
-        shuffled = phi[rng.permutation(phi.shape[0])]
-        if basis.rank == 0:
-            caps[i] = 0.0
-        else:
-            s = basis.P.T @ shuffled
-            caps[i] = float(s @ s)
-    k = cfg.quantile_index()
-    return factor * float(np.sort(caps)[-k])
+    _check_length(target.values, basis)
+    phi = target.values[None, :]
+    perms = _perm_stream(seed, basis.T)
+    caps = [_capacities(phi, basis.P[next(perms)])[0] for _ in range(n_surrogates)]
+    return factor * float(np.sort(caps)[-cfg.quantile_index()])
 
 
 def detrend(state: StateMatrix, max_harmonics: int) -> StateMatrix:
@@ -249,14 +258,14 @@ def _basis_screen_stats(basis: SvdBasis) -> dict:
     """Per-basis quantities entering the permutation-null moment bounds."""
     P = basis.P
     T = P.shape[0]
-    pbar = P.mean(axis=0) if basis.rank else np.zeros(0)
+    pbar = P.mean(axis=0)
     pt_sq = np.clip(1.0 - T * pbar**2, 0.0, None)
     return {
         "T": T,
         "pbar_sq_sum": float(pbar @ pbar),
         "pt_sum": float(pt_sq.sum()),
         "pt_sq_sum": float(pt_sq @ pt_sq),
-        "pt_max": float(pt_sq.max()) if basis.rank else 0.0,
+        "pt_max": float(pt_sq.max(initial=0.0)),
     }
 
 
@@ -299,8 +308,7 @@ def _panel_keep(
     for i in range(threshold.n_surrogates):
         if alive.size == 0:
             break
-        S = phis @ basis.P[perm(i)]
-        hits[alive] += threshold.factor * np.einsum("br,br->b", S, S) >= raws
+        hits[alive] += threshold.factor * _capacities(phis, basis.P[perm(i)]) >= raws
         undecided = hits[alive] < k
         if not undecided.all():
             alive, phis, raws = alive[undecided], phis[undecided], raws[undecided]
@@ -342,30 +350,21 @@ def capacity_sweep(
         raise ParameterError("specs: sweep needs at least one chaos spec")
     z = np.asarray(zeta, dtype=float).ravel()
     T = basis.T
-    start, end = _sweep_window(specs, z, T, window)
+    start, _ = _sweep_window(specs, z, T, window)
 
     max_deg = max(n for spec in specs for _, n in spec.terms)
     # degree-major rows, so every factor below is a contiguous slice
     table = np.ascontiguousarray(eval_table(family, z, max_deg).T)
-    trig_cache: dict[tuple[int, str], np.ndarray] = {}
+    trig = cache(partial(_time_factor, T))
+    if threshold is not None:
+        stats = _basis_screen_stats(basis)
+        stream, perms = _perm_stream(threshold.seed, T), []
 
-    def trig(k: int, kind: str) -> np.ndarray:
-        key = (k, kind)
-        if key not in trig_cache:
-            phase = 2.0 * math.pi * k * np.arange(T) / T
-            trig_cache[key] = np.cos(phase) if kind == "cos" else np.sin(phase)
-        return trig_cache[key]
-
-    stats = _basis_screen_stats(basis) if threshold is not None else None
-    # surrogate permutations, drawn in stream order on first use and shared by all flushes
-    rng = np.random.default_rng(threshold.seed) if threshold is not None else None
-    perms: list[np.ndarray] = []
-    perm_dtype = np.int32 if T < 2**31 else np.int64
-
-    def perm(i: int) -> np.ndarray:
-        while len(perms) <= i:
-            perms.append(rng.permutation(T).astype(perm_dtype))
-        return perms[i]
+        def perm(i: int) -> np.ndarray:
+            # drawn on first use, then shared by every flush
+            while len(perms) <= i:
+                perms.append(next(stream))
+            return perms[i]
 
     results: dict[str, tuple[int, float, float]] = {}
     skipped: list[tuple[str, str]] = []
@@ -390,27 +389,15 @@ def capacity_sweep(
             if start < spec.max_delay:
                 skipped.append((label, f"delay {spec.max_delay} exceeds window start {start}"))
                 continue
-            row = Z[len(infos)]
-            (s, n), *rest = spec.terms
-            row[:] = table[n, start - s : end - s]
-            for s, n in rest:
-                row *= table[n, start - s : end - s]
-            if spec.temporal is not None:
-                row *= trig(*spec.temporal)
-            norm = float(np.linalg.norm(row))
-            if norm == 0.0 or not math.isfinite(norm):
+            norm = _fill_target(Z[len(infos)], spec, table, start, trig)
+            if not 0.0 < norm < math.inf:
                 skipped.append((label, f"degenerate target (norm {norm})"))
                 continue
-            row /= norm
             infos.append((label, spec.total_degree))
         if not infos:
             continue
         Zc = Z[: len(infos)]
-        if basis.rank == 0:
-            raws = np.zeros(len(infos))
-        else:
-            S = Zc @ basis.P
-            raws = np.einsum("br,br->b", S, S)
+        raws = _capacities(Zc, basis.P)
         if threshold is None:
             for (label, order), raw in zip(infos, raws):
                 results[label] = (order, float(raw), float(raw))
@@ -468,11 +455,7 @@ def memory_function(
     specs = [ChaosSpec(terms=((s, 1),), temporal=temporal) for s in range(1, max_delay + 1)]
     report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, window=window)
     by_label = {e.spec: e.thresholded_capacity for e in report.entries}
-    out = []
-    for spec in specs:
-        if spec.label() in by_label:
-            out.append((spec.terms[0][0], by_label[spec.label()]))
-    return out
+    return [(spec.terms[0][0], by_label[spec.label()]) for spec in specs if spec.label() in by_label]
 
 
 def tipc_spectrum(
@@ -488,16 +471,10 @@ def tipc_spectrum(
     if delay < 1:
         raise ParameterError(f"delay: must be >= 1, got {delay}")
     harmonics = [int(k) for k in harmonics]
-    specs = [
-        ChaosSpec(terms=((delay, 1),), temporal=(k, kind))
-        for k in harmonics
-        for kind in ("cos", "sin")
-    ]
+    specs = _crossed([ChaosSpec(terms=((delay, 1),))], harmonics)
     report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, window=window)
     by_label = {e.spec: e.thresholded_capacity for e in report.entries}
-    out = []
-    for k in harmonics:
-        cos_label = ChaosSpec(terms=((delay, 1),), temporal=(k, "cos")).label()
-        sin_label = ChaosSpec(terms=((delay, 1),), temporal=(k, "sin")).label()
-        out.append((k, by_label.get(cos_label, 0.0), by_label.get(sin_label, 0.0)))
-    return out
+    return [
+        (k, by_label.get(c.label(), 0.0), by_label.get(s.label(), 0.0))
+        for k, c, s in zip(harmonics, specs[::2], specs[1::2])
+    ]

@@ -26,19 +26,18 @@ from .errors import (
     ShapeError,
     WindowError,
 )
-from .distributions import DistributionSpec, InputShaping, sample_stream, shape_input
+from .distributions import DistributionSpec, InputShaping, sample_stream
 from .polychaos import PolynomialFamily, eval_table, fit_gram_schmidt
-from .presets import ExperimentConfig, get_preset, preset_names, run_ipc, run_narma_suite, run_tipc
-from .reports import write_series_csv
-from .systems import (
-    EsnConfig,
-    LimitCycleConfig,
-    Narma10Config,
-    simulate_1d_esn,
-    simulate_esn,
-    simulate_limit_cycle,
-    simulate_narma10,
+from .presets import (
+    ExperimentConfig,
+    _build_state,
+    get_preset,
+    preset_names,
+    run_ipc,
+    run_narma_suite,
+    run_tipc,
 )
+from .reports import write_series_csv
 
 _CONFIG_ERRORS = (ConfigError, ParameterError)
 _DATA_ERRORS = (DataError, ShapeError, WindowError, FileNotFoundError, DegeneracyError)
@@ -52,7 +51,11 @@ def _load_config(args) -> ExperimentConfig:
         return get_preset(args.preset)
     if args.config:
         with open(args.config) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config: {args.config} is not valid JSON ({exc})") from None
+        return ExperimentConfig.from_dict(payload)
     raise ConfigError("preset/config: one of --preset or --config is required")
 
 
@@ -83,25 +86,13 @@ def _cmd_narma(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    length = args.steps
+    params = {"esn": {"spectral_radius": args.rho}, "esn_1d": {"rho": args.rho}}.get(args.system, {})
+    system = {"kind": args.system, **params}
     shaping = InputShaping(mu=args.mu, kappa=args.kappa)
-    zeta = sample_stream(DistributionSpec(kind=args.distribution), length, args.seed)
-    if args.system == "esn":
-        state = simulate_esn(EsnConfig(spectral_radius=args.rho), shape_input(zeta, shaping))
-        columns = {f"x{i}": state.data[:, i] for i in range(min(state.data.shape[1], 8))}
-    elif args.system == "esn_1d":
-        state = simulate_1d_esn(args.rho, shaping, zeta)
-        columns = {"x": state.data[:, 0]}
-    elif args.system == "limit_cycle":
-        state = simulate_limit_cycle(LimitCycleConfig(shaping=shaping), zeta)
-        columns = {"x": state.data[:, 0], "y": state.data[:, 1]}
-    else:
-        series, diverged_at = simulate_narma10(Narma10Config(shaping=shaping), zeta)
-        if diverged_at is not None:
-            raise DivergenceError(diverged_at)
-        columns = {"y": series}
+    zeta = sample_stream(DistributionSpec(kind=args.distribution), args.steps, args.seed)
+    state = _build_state(system, zeta, shaping)
     out = Path(args.out)
-    write_series_csv(out, columns)
+    write_series_csv(out, dict(zip(state.labels, state.data.T)))
     print(f"wrote {out}")
     return 0
 

@@ -314,27 +314,6 @@ def lyapunov_spectrum(
     return sums / lcfg.T
 
 
-def lyapunov_direct(
-    config: Narma10Config, lcfg: LyapunovConfig, zeta: np.ndarray
-) -> np.ndarray:
-    """Literal windowed form: singular values of M-step Jacobian products.
-
-    Quadratic in T * M; kept as the small-scale oracle for the QR path. The
-    log singular values are divided by M so both forms are per-step rates.
-    """
-    n_steps = lcfg.T + lcfg.M - 1
-    X, Y = _jacobian_blocks(config, zeta, n_steps)
-    sums = np.zeros(lcfg.n_exponents)
-    for t in range(lcfg.T):
-        G = np.eye(10)
-        for m in range(lcfg.M):
-            G = _apply_jacobian(G, X[t + m], Y[t + m])
-        sv = np.linalg.svd(G, compute_uv=False)[: lcfg.n_exponents]
-        with np.errstate(divide="ignore"):
-            sums += np.log(sv)
-    return sums / (lcfg.T * lcfg.M)
-
-
 @dataclass(frozen=True, eq=False)
 class ApproxModelCoeffs:
     """Truncated surrogate model y = p + sum q_s z_{t-s} + sum r_s z_{t-s} z_{t-s-9}."""

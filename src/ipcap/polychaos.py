@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -251,12 +252,6 @@ def eval_table(family: PolynomialFamily, zeta: np.ndarray, max_degree: int) -> n
     return _TABLES[family.kind](z, max_degree, family.params)
 
 
-def eval_univariate(family: PolynomialFamily, degree: int, zeta: float) -> float:
-    """Single polynomial value F_degree(zeta)."""
-    table = eval_table(family, np.array([zeta], dtype=float), degree)
-    return float(table[0, degree])
-
-
 def fit_gram_schmidt(samples: np.ndarray, max_degree: int) -> PolynomialFamily:
     """Build a data-driven orthogonal basis on the given samples.
 
@@ -384,14 +379,18 @@ def enumerate_chaos(
                 specs.append(ChaosSpec(terms=tuple(terms)))
     specs.sort(key=lambda c: (c.total_degree, tuple(s for s, _ in c.terms), tuple(n for _, n in c.terms)))
     if temporal:
-        crossed = [
-            replace(spec, temporal=(int(k), kind))
-            for k in temporal
-            for kind in ("cos", "sin")
-            for spec in specs
-        ]
-        specs = specs + crossed
+        specs = specs + _crossed(specs, temporal)
     return specs
+
+
+def _crossed(specs: list[ChaosSpec], harmonics) -> list[ChaosSpec]:
+    """specs times cos/sin of each harmonic: by harmonic, then cos before sin, then spec."""
+    return [
+        replace(spec, temporal=(int(k), kind))
+        for k in harmonics
+        for kind in ("cos", "sin")
+        for spec in specs
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,6 +400,32 @@ class TargetSeries:
     values: np.ndarray
     spec: ChaosSpec
     norm: float
+
+
+def _time_factor(T: int, k: int, kind: str) -> np.ndarray:
+    """cos or sin(2 pi k t / T) over window times t = 0 .. T-1."""
+    phase = 2.0 * math.pi * k * np.arange(T) / T
+    return np.cos(phase) if kind == "cos" else np.sin(phase)
+
+
+def _fill_target(row: np.ndarray, spec: ChaosSpec, table: np.ndarray, start: int, trig) -> float:
+    """Write spec's target over window [start, start + len(row)) into row, in place.
+
+    table is degree-major (table[n] holds F_n over the whole input stream) and
+    trig(k, kind) gives the time factor. The row is normalized to unit norm
+    when its norm is positive and finite; the norm is returned either way.
+    """
+    end = start + row.shape[0]
+    (s, n), *rest = spec.terms
+    row[:] = table[n, start - s : end - s]
+    for s, n in rest:
+        row *= table[n, start - s : end - s]
+    if spec.temporal is not None:
+        row *= trig(*spec.temporal)
+    norm = float(np.linalg.norm(row))
+    if 0.0 < norm < math.inf:
+        row /= norm
+    return norm
 
 
 def build_target(
@@ -426,15 +451,9 @@ def build_target(
         )
     if end - 1 > z.size:
         raise ShapeError(f"window: end {end} exceeds input length {z.size} + 1")
-    values = np.ones(T)
-    for s, n in spec.terms:
-        seg = z[start - s : end - s]
-        values = values * eval_table(family, seg, n)[:, n]
-    if spec.temporal is not None:
-        k, kind = spec.temporal
-        phase = 2.0 * math.pi * k * np.arange(T) / T
-        values = values * (np.cos(phase) if kind == "cos" else np.sin(phase))
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0 or not math.isfinite(norm):
+    table = eval_table(family, z, max(n for _, n in spec.terms)).T
+    values = np.empty(T)
+    norm = _fill_target(values, spec, table, start, partial(_time_factor, T))
+    if not 0.0 < norm < math.inf:
         raise DegenerateTargetError(f"target {spec.label()} has norm {norm}")
-    return TargetSeries(values=values / norm, spec=spec, norm=norm)
+    return TargetSeries(values=values, spec=spec, norm=norm)

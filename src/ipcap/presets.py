@@ -31,7 +31,7 @@ from .distributions import (
     sample_stream,
     shape_input,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .narma import (
     LyapunovConfig,
     approx_model_coeffs,
@@ -45,6 +45,7 @@ from .narma import (
 from .polychaos import (
     ChaosSpec,
     PolynomialFamily,
+    _crossed,
     enumerate_chaos,
     fit_gram_schmidt,
 )
@@ -80,21 +81,44 @@ _SWEEP_KEYS = {
 _THRESHOLD_KEYS = {"n_surrogates", "significance_pct", "factor", "seed"}
 _OUTPUT_KEYS = {"basename"}
 _ANALYSIS_KEYS = {
-    "fixed_point",
-    "nullclines",
-    "divergence",
-    "basin",
-    "lyapunov",
-    "nrmse_table",
-    "approx_model",
+    "fixed_point": set(),
+    "nullclines": {"z10", "w1_min", "w1_max", "count"},
+    "divergence": {"sigmas", "n_seeds", "horizon", "seed", "symmetric"},
+    "basin": {"mode", "a_min", "a_max", "a_count", "b_min", "b_max", "b_count", "max_steps", "sigma", "seed"},
+    "lyapunov": {"sigmas", "T", "M", "n_exponents", "symmetric", "seed"},
+    "nrmse_table": {
+        "rhos", "activations", "n_nodes", "input_intensity", "weight_seed", "sigma", "T", "washout",
+        "train_frac", "seed",
+    },
+    "approx_model": {"n1", "n2", "sigma", "symmetric", "T", "washout", "trace_len", "seed"},
 }
 _KINDS = ("ipc", "tipc", "narma_suite")
+# value types by key name, in whichever block the key appears
+_INT_KEYS = {
+    "T", "seed", "washout", "n_nodes", "weight_seed", "n_surrogates", "count", "n_seeds", "horizon",
+    "a_count", "b_count", "max_steps", "M", "n_exponents", "trace_len",
+}
+_REAL_KEYS = {
+    "mu", "kappa", "rho", "spectral_radius", "input_intensity", "leak", "alpha", "beta", "gamma",
+    "delta", "omega", "tau", "significance_pct", "factor", "sigma", "z10", "w1_min", "w1_max",
+    "a_min", "a_max", "b_min", "b_max", "train_frac",
+}
 
 
-def _check_keys(block: str, payload: dict, allowed: set) -> None:
-    for key in payload:
+def _is_number(value, integral: bool = False) -> bool:
+    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+
+
+def _check_keys(block: str, payload, allowed) -> None:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{block}: expected a mapping, got {payload!r}")
+    for key, value in payload.items():
         if key not in allowed:
             raise ConfigError(f"{block}: unknown key '{key}'")
+        integral = key in _INT_KEYS
+        if (integral or key in _REAL_KEYS) and not _is_number(value, integral):
+            kind = "an integer" if integral else "a number"
+            raise ConfigError(f"{block}.{key}: expected {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +155,7 @@ class ExperimentConfig:
                 raise ConfigError("system.state_csv: required for external state")
         inp = dict(payload.get("input", {}))
         _check_keys("input", inp, _INPUT_KEYS)
+        _check_keys("input.shaping", inp.get("shaping", {}), {"mu", "kappa"})
         sweep = dict(payload.get("sweep", {}))
         _check_keys("sweep", sweep, _SWEEP_KEYS)
         threshold = payload.get("threshold", {})
@@ -141,6 +166,8 @@ class ExperimentConfig:
         _check_keys("output", output, _OUTPUT_KEYS)
         analysis = dict(payload.get("analysis", {}))
         _check_keys("analysis", analysis, _ANALYSIS_KEYS)
+        for name, block in analysis.items():
+            _check_keys(f"analysis.{name}", block, _ANALYSIS_KEYS[name])
         if kind in ("ipc", "tipc"):
             if not system:
                 raise ConfigError("system: required for capacity experiments")
@@ -154,7 +181,11 @@ class ExperimentConfig:
             if not blocks:
                 raise ConfigError("sweep.degree_blocks: at least one [degree, max_delay] pair required")
             for pair in blocks:
-                if len(pair) != 2 or int(pair[0]) < 1 or int(pair[1]) < 1:
+                if not (
+                    isinstance(pair, (list, tuple))
+                    and len(pair) == 2
+                    and all(_is_number(v, integral=True) and v >= 1 for v in pair)
+                ):
                     raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
         if kind == "narma_suite" and not analysis:
             raise ConfigError("analysis: required for narma_suite experiments")
@@ -466,17 +497,17 @@ def get_preset(name: str) -> ExperimentConfig:
 # pipelines
 
 def _load_csv_matrix(path) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    return data
+    return np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
 
 
 def _input_stream(config: ExperimentConfig, length: int):
     inp = config.input
     shaping = InputShaping(**inp.get("shaping", {"mu": 0.0, "kappa": 1.0}))
     if "csv" in inp:
-        zeta = _load_csv_matrix(inp["csv"]).ravel()[:length]
+        data = _load_csv_matrix(inp["csv"])
+        if data.shape[1] != 1:
+            raise DataError(f"input.csv: expected one column, file has {data.shape[1]}")
+        zeta = data[:length, 0]
         if zeta.size < length:
             raise ConfigError(
                 f"input.csv: need at least {length} samples, file has {zeta.size}"
@@ -488,35 +519,23 @@ def _input_stream(config: ExperimentConfig, length: int):
     return zeta, shape_input(zeta, shaping), shaping
 
 
-def _build_state(config: ExperimentConfig, zeta: np.ndarray, u: np.ndarray, shaping: InputShaping) -> StateMatrix:
-    system = config.system
+def _build_state(system: dict, zeta: np.ndarray, shaping: InputShaping) -> StateMatrix:
+    """State of a system block driven by the raw input zeta under the given shaping."""
     kind = system["kind"]
+    params = {k: v for k, v in system.items() if k != "kind"}
     if kind == "esn":
-        esn = EsnConfig(**{k: v for k, v in system.items() if k != "kind"})
-        return simulate_esn(esn, u)
+        return simulate_esn(EsnConfig(**params), shape_input(zeta, shaping))
     if kind == "esn_1d":
-        return simulate_1d_esn(float(system["rho"]), shaping, zeta)
+        return simulate_1d_esn(float(params["rho"]), shaping, zeta)
     if kind == "narma10":
-        cfg = _narma_config(system, shaping)
-        series, diverged_at = simulate_narma10(cfg, zeta)
+        series, diverged_at = simulate_narma10(Narma10Config(shaping=shaping, **params), zeta)
         if diverged_at is not None:
             raise DivergenceError(diverged_at)
-        return StateMatrix(series, meta={"system": "narma10"})
+        return StateMatrix(series, labels=("y",), meta={"system": "narma10"})
     if kind == "limit_cycle":
-        extra = {k: v for k, v in system.items() if k != "kind"}
-        if "init" in extra:
-            extra["init"] = tuple(extra["init"])
-        cfg = LimitCycleConfig(shaping=shaping, **extra)
-        return simulate_limit_cycle(cfg, zeta)
+        return simulate_limit_cycle(LimitCycleConfig(shaping=shaping, **params), zeta)
     state = _load_csv_matrix(system["state_csv"])
     return StateMatrix(state, meta={"system": "external"})
-
-
-def _narma_config(system: dict, shaping: InputShaping) -> Narma10Config:
-    extra = {k: v for k, v in system.items() if k != "kind"}
-    if "init" in extra:
-        extra["init"] = tuple(extra["init"])
-    return Narma10Config(shaping=shaping, **extra)
 
 
 def _sweep_specs(sweep: dict) -> list[ChaosSpec]:
@@ -556,23 +575,16 @@ def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityRepor
         washout = 0
     length = washout + T
     zeta, u, shaping = _input_stream(config, length)
-    full = _build_state(config, zeta, u, shaping)
-    data = full.data if config.system["kind"] == "external" else full.data[washout:]
-    state = StateMatrix(data, washout=washout, labels=full.labels, meta=full.meta)
+    full = _build_state(config.system, zeta, shaping)
+    state = StateMatrix(full.data[washout:], washout=washout, labels=full.labels, meta=full.meta)
     harmonics = int(config.sweep.get("detrend_harmonics", 2)) if tipc else 0
     state = detrend(state, harmonics)
     rank_tol = config.sweep.get("rank_tol")
     basis = decompose(state, float(rank_tol) if rank_tol is not None else None)
     family, stream = _family_and_stream(config.sweep, zeta, u)
     specs = _sweep_specs(config.sweep)
-    if tipc and config.sweep.get("temporal"):
-        harmonic_specs = [
-            replace(spec, temporal=(int(k), kind))
-            for k in config.sweep["temporal"]
-            for kind in ("cos", "sin")
-            for spec in specs
-        ]
-        specs = specs + harmonic_specs
+    if tipc:
+        specs = specs + _crossed(specs, config.sweep.get("temporal") or [])
     threshold = (
         ThresholdConfig(**config.threshold) if config.threshold is not None else None
     )
@@ -616,7 +628,6 @@ def _run_nrmse_table(block: dict, base_cfg: Narma10Config, outdir: Path, basenam
     rng_seed = int(block.get("seed", 0))
     length = washout + T
     zeta = sample_stream(DistributionSpec(kind="uniform"), length, rng_seed)
-    u = shape_input(zeta, shaping)
     narma = replace(base_cfg, shaping=shaping)
     series, diverged_at = simulate_narma10(narma, zeta)
     if diverged_at is not None:
@@ -626,17 +637,18 @@ def _run_nrmse_table(block: dict, base_cfg: Narma10Config, outdir: Path, basenam
     activations = block.get("activations", ["tanh"])
     for activation in activations:
         for rho in block.get("rhos", [0.95]):
-            esn = EsnConfig(
-                n_nodes=int(block.get("n_nodes", 50)),
-                spectral_radius=float(rho),
-                input_intensity=float(block.get("input_intensity", 0.1)),
-                activation=activation,
-                weight_seed=int(block.get("weight_seed", 0)),
-            )
+            esn = {
+                "kind": "esn",
+                "n_nodes": int(block.get("n_nodes", 50)),
+                "spectral_radius": float(rho),
+                "input_intensity": float(block.get("input_intensity", 0.1)),
+                "activation": activation,
+                "weight_seed": int(block.get("weight_seed", 0)),
+            }
             # an unbounded activation past the stability edge blows up;
             # record the divergence instead of aborting the table
             try:
-                state = simulate_esn(esn, u)
+                state = _build_state(esn, zeta, shaping)
             except DivergenceError as exc:
                 rows.append(
                     {"activation": activation, "rho": float(rho), "nrmse": None, "diverged_at": exc.step}
@@ -732,7 +744,7 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
     system = config.system or {"kind": "narma10"}
     if system.get("kind") != "narma10":
         raise ConfigError(f"system.kind: narma_suite requires 'narma10', got {system.get('kind')!r}")
-    base_cfg = _narma_config(system, InputShaping())
+    base_cfg = Narma10Config(**{k: v for k, v in system.items() if k != "kind"})
     analysis = config.analysis
     results: dict = {}
     summary: dict = {"name": config.name}

@@ -57,7 +57,7 @@ def report_to_dict(report: CapacityReport) -> dict:
 def report_from_dict(payload: dict) -> CapacityReport:
     if not isinstance(payload, dict) or "entries" not in payload:
         raise DataError("report payload: missing 'entries'")
-    entries = [
+    entries = tuple(
         CapacityEntry(
             spec=str(e["spec"]),
             order=int(e["order"]),
@@ -65,14 +65,14 @@ def report_from_dict(payload: dict) -> CapacityReport:
             thresholded_capacity=float(e["thresholded_capacity"]),
         )
         for e in payload["entries"]
-    ]
+    )
     return CapacityReport(
         entries=entries,
         per_order_totals={int(k): float(v) for k, v in payload["per_order_totals"].items()},
         total=float(payload["total"]),
         rank=int(payload["rank"]),
-        threshold_meta=payload.get("threshold"),
-        skipped=[tuple(pair) for pair in payload.get("skipped", [])],
+        threshold_meta=payload.get("threshold", {}),
+        skipped=tuple(tuple(pair) for pair in payload.get("skipped", [])),
         meta=payload.get("meta", {}),
     )
 

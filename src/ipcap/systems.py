@@ -82,7 +82,11 @@ def simulate_esn(config: EsnConfig, input_series: np.ndarray) -> StateMatrix:
         if np.max(np.abs(x)) > ESN_DIVERGENCE_LIMIT:
             raise DivergenceError(t + 1)
         X[t] = x
-    return StateMatrix(data=X, meta={"system": "esn", "config": config.__dict__.copy()})
+    return StateMatrix(
+        data=X,
+        labels=tuple(f"x{i}" for i in range(config.n_nodes)),
+        meta={"system": "esn", "config": config.__dict__.copy()},
+    )
 
 
 def simulate_1d_esn(rho: float, shaping: InputShaping, zeta: np.ndarray) -> StateMatrix:
@@ -96,6 +100,7 @@ def simulate_1d_esn(rho: float, shaping: InputShaping, zeta: np.ndarray) -> Stat
         X[t, 0] = x
     return StateMatrix(
         data=X,
+        labels=("x",),
         meta={"system": "esn1d", "rho": rho, "shaping": shaping.to_dict()},
     )
 
@@ -163,6 +168,10 @@ class LimitCycleConfig:
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ParameterError(f"tau: must be > 0, got {self.tau}")
+        init = tuple(float(v) for v in self.init)
+        if len(init) != 2:
+            raise ParameterError(f"init: expected (radius, angle), got {len(init)} values")
+        object.__setattr__(self, "init", init)
         if self.init[0] < 0.0:
             raise ParameterError(f"init: radius must be >= 0, got {self.init[0]}")
 

@@ -15,10 +15,13 @@ from ipcap import (
     StateMatrix,
     TargetSeries,
     ThresholdConfig,
+    build_target,
     capacity_sweep,
     compute_capacity,
     decompose,
     detrend,
+    enumerate_chaos,
+    eval_table,
     memory_function,
     surrogate_threshold,
     tipc_spectrum,
@@ -31,6 +34,24 @@ def unit_target(values):
     values = np.asarray(values, dtype=float)
     norm = float(np.linalg.norm(values))
     return TargetSeries(values=values / norm, spec=ChaosSpec(terms=((1, 1),)), norm=norm)
+
+
+def literal_target(spec, family, zeta, start, T):
+    """Test-side target: product of eval_table columns times cos/sin, unit norm."""
+    table = eval_table(family, zeta, max(n for _, n in spec.terms))
+    values = np.ones(T)
+    for s, n in spec.terms:
+        values = values * table[start - s : start - s + T, n]
+    if spec.temporal is not None:
+        k, kind = spec.temporal
+        phase = 2.0 * math.pi * k * np.arange(T) / T
+        values = values * (np.cos(phase) if kind == "cos" else np.sin(phase))
+    return values / np.linalg.norm(values)
+
+
+def literal_capacity(basis, phi):
+    s = basis.P.T @ phi
+    return float(s @ s)
 
 
 def regression_capacity(X, z):
@@ -301,13 +322,9 @@ def test_sweep_matches_single_target_path():
     family = PolynomialFamily(kind="legendre")
     specs = [ChaosSpec(terms=((1, 1),)), ChaosSpec(terms=((2, 2),))]
     report = capacity_sweep(basis, specs, family, zeta)
-    from ipcap import build_target
-
     for spec, entry in zip(specs, sorted(report.entries, key=lambda e: e.order)):
-        target = build_target(spec, family, zeta, (1, 1501))
-        assert entry.raw_capacity == pytest.approx(
-            compute_capacity(basis, target), abs=1e-12
-        )
+        phi = literal_target(spec, family, zeta, 1, 1500)
+        assert entry.raw_capacity == pytest.approx(literal_capacity(basis, phi), abs=1e-12)
 
     # Several chunks of 3 targets. T = 600 rows end-aligned on 610 inputs puts
     # the window start at 11. zeta[0] is NaN, so the delay-11 target is
@@ -338,8 +355,8 @@ def test_sweep_matches_single_target_path():
         raws = {e.spec: e.raw_capacity for e in report.entries}
         assert sorted(raws) == sorted(spec.label() for spec in kept)
         for spec in kept:
-            target = build_target(spec, family, zeta, (11, 611))
-            assert raws[spec.label()] == pytest.approx(compute_capacity(basis, target), abs=1e-12)
+            phi = literal_target(spec, family, zeta, 11, 600)
+            assert raws[spec.label()] == pytest.approx(literal_capacity(basis, phi), abs=1e-12)
 
 
 def full_panel_keep(basis, perms, phis, raws, threshold):
@@ -428,8 +445,6 @@ def test_panel_runs_every_draw_when_all_targets_are_kept():
 
 
 def test_sweep_decisions_match_full_panel(monkeypatch):
-    from ipcap import build_target, enumerate_chaos
-
     zeta = sample_stream(DistributionSpec(kind="uniform"), 410, seed=71)
     state = StateMatrix(np.random.default_rng(73).normal(size=(400, 6)))
     basis = decompose(state)
@@ -448,8 +463,7 @@ def test_sweep_decisions_match_full_panel(monkeypatch):
     perms, _, _ = panel_draws(threshold, basis.T)
     by_label = {spec.label(): spec for spec in specs}
     for e in report.entries:
-        target = build_target(by_label[e.spec], family, zeta, (11, 411))
-        phi = target.values[None, :]
+        phi = literal_target(by_label[e.spec], family, zeta, 11, 400)[None, :]
         expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
         assert (e.thresholded_capacity != 0.0) == expected, e.spec
 
@@ -471,3 +485,83 @@ def test_sweep_window_length_checked():
             zeta,
             window=(0, 15),
         )
+
+
+@pytest.mark.parametrize("pct, factor", [(1.0, 2.0), (10.0, 1.0), (30.0, 2.0)])
+def test_surrogate_threshold_is_the_panel_quantile(pct, factor):
+    T = 150
+    threshold = ThresholdConfig(n_surrogates=40, significance_pct=pct, factor=factor, seed=11)
+    rng = np.random.default_rng(79)
+    X = rng.normal(size=(T, 3)) + 2.0
+    states = [X, np.column_stack([X, X[:, 0] - X[:, 1]]), np.zeros((T, 2))]
+    perms, _, _ = panel_draws(threshold, T)
+    for X in states:
+        basis = decompose(StateMatrix(X))
+        for values in (rng.normal(size=T) + 0.5, np.eye(T)[17], basis.P @ np.ones(basis.rank) + 0.01):
+            target = unit_target(values)
+            caps = []
+            for p in perms:
+                S = target.values[None, :] @ basis.P[p]
+                caps.append(np.einsum("br,br->b", S, S)[0])
+            kth = np.sort(caps)[-threshold.quantile_index()]
+            assert surrogate_threshold(basis, target, **threshold.to_dict()) == factor * float(kth)
+
+
+def screen_case(rng, T):
+    """A decomposed state and input for the screen-versus-exact property test.
+
+    Inputs are centred, offset (nonzero-mean targets) or spikes; the state
+    holds noisy lagged inputs at random strengths, an offset, and sometimes a
+    dependent column (rank-deficient basis).
+    """
+    L = T + 12
+    kind = rng.integers(3)
+    if kind == 0:
+        zeta = rng.uniform(-1.0, 1.0, L)
+    elif kind == 1:
+        zeta = rng.uniform(0.0, 1.0, L)
+    else:
+        zeta = np.where(rng.random(L) < 0.03, rng.normal(0.0, 5.0, L), 0.0)
+    start = L + 1 - T
+    lag = [zeta[start - s : start - s + T] for s in range(1, 6)]
+    cols = [
+        lag[0] + rng.uniform(0.0, 3.0) * rng.normal(size=T),
+        lag[1] * lag[2] + rng.uniform(0.0, 3.0) * rng.normal(size=T),
+        rng.normal(size=T),
+    ]
+    X = np.column_stack(cols) + rng.uniform(-2.0, 2.0, size=3)
+    if rng.random() < 0.5:
+        X = np.column_stack([X, X[:, 0] + X[:, 2]])
+    return decompose(StateMatrix(X)), zeta, start
+
+
+def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
+    family = PolynomialFamily(kind="legendre")
+    specs = enumerate_chaos(3, 5)
+    rng = np.random.default_rng(89)
+    panel_rows = []
+
+    def recording_panel(basis, perm, phis, raws, threshold):
+        panel_rows.append(len(raws))
+        return _panel_keep(basis, perm, phis, raws, threshold)
+
+    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
+    decided = 0
+    for case in range(24):
+        T = int(rng.integers(40, 601))
+        basis, zeta, start = screen_case(rng, T)
+        threshold = ThresholdConfig(
+            n_surrogates=int(rng.integers(20, 60)),
+            significance_pct=float(rng.choice([1.0, 5.0, 10.0, 30.0])),
+            factor=float(rng.choice([1.0, 2.0])),
+            seed=case,
+        )
+        report = capacity_sweep(basis, specs, family, zeta, threshold=threshold)
+        by_label = {spec.label(): spec for spec in specs}
+        for e in report.entries:
+            target = build_target(by_label[e.spec], family, zeta, (start, start + T))
+            eps = surrogate_threshold(basis, target, **threshold.to_dict())
+            assert (e.thresholded_capacity != 0.0) == (e.raw_capacity > eps), (case, e.spec)
+            decided += 1
+    screened = decided - sum(panel_rows)
+    assert screened > 500 and sum(panel_rows) > 100

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ipcap import (
+    CapacityEntry,
+    CapacityReport,
     ConfigError,
     DataError,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from ipcap import (
     read_report,
     run_ipc,
     run_tipc,
+    write_report,
 )
 from ipcap.cli import main
 from ipcap.distributions import DistributionSpec, sample_stream
@@ -197,6 +200,25 @@ def test_report_dict_roundtrip(tmp_path):
         report_from_dict({"total": 1.0})
 
 
+def test_report_file_roundtrip_is_byte_identical(tmp_path):
+    report = CapacityReport(
+        entries=(CapacityEntry("1@1", 1, 0.75, 0.75), CapacityEntry("2@1", 2, 1e-3, 0.0)),
+        per_order_totals={1: 0.75, 2: 0.0},
+        total=0.75,
+        rank=1,
+        threshold_meta={"n_surrogates": 200, "significance_pct": 1.0, "factor": 2.0, "seed": 7},
+        skipped=(("1@9", "delay 9 exceeds window start 1"),),
+        meta={"name": "roundtrip"},
+    )
+    write_report(report, tmp_path / "a.json", tmp_path / "a.csv")
+    loaded = read_report(tmp_path / "a.json")
+    assert isinstance(loaded.entries, tuple)
+    assert isinstance(loaded.skipped, tuple) and loaded.skipped == report.skipped
+    write_report(loaded, tmp_path / "b.json", tmp_path / "b.csv")
+    for suffix in ("json", "csv"):
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+
 def test_write_series_csv_errors(tmp_path):
     with pytest.raises(DataError, match="at least one"):
         write_series_csv(tmp_path / "x.csv", {})
@@ -215,6 +237,23 @@ def test_cli_simulate_writes_series(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].split(",") == ["x", "y"]
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize(
+    "system, header",
+    [
+        ("esn", [f"x{i}" for i in range(50)]),
+        ("esn_1d", ["x"]),
+        ("narma10", ["y"]),
+        ("limit_cycle", ["x", "y"]),
+    ],
+)
+def test_cli_simulate_writes_every_state_column(tmp_path, system, header):
+    out = tmp_path / "state.csv"
+    assert main(["simulate", "--system", system, "--steps", "80", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",") == header
+    assert len(lines) == 81
 
 
 def test_cli_basis_writes_table(tmp_path):
@@ -243,6 +282,46 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert main(["ipc", "--preset", "fig9", "--outdir", str(tmp_path)]) == 2
     assert main(["ipc", "--outdir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def capacity_config_text(**blocks):
+    payload = {
+        "name": "bad",
+        "kind": "ipc",
+        "system": {"kind": "esn_1d", "rho": 0.9},
+        "input": {"distribution": {"kind": "uniform"}, "T": 200},
+        "sweep": {"family": {"kind": "legendre"}, "degree_blocks": [[1, 2]]},
+    }
+    payload.update(blocks)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("ipc", capacity_config_text(sweep={"family": {"kind": "legendre"}, "degree_blocks": [["a", 3]]})),
+        ("ipc", capacity_config_text(input={"distribution": {"kind": "uniform"}, "T": 200, "shaping": {"gain": 1}})),
+        ("ipc", capacity_config_text(system={"kind": "esn", "n_nodes": "ten"})),
+        ("ipc", capacity_config_text()[:-9]),
+        ("narma", json.dumps({"kind": "narma_suite", "analysis": {"divergence": {"horizn": 10}}})),
+    ],
+    ids=["degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key"],
+)
+def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_multi_column_input_exits_3(tmp_path, capsys):
+    cfg = delay_line_config(tmp_path, T=200).to_dict()
+    write_csv(tmp_path / "input.csv", np.ones((200, 2)), header="a,b")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 3
+    assert "one column" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_nonpositive_narma_horizon(tmp_path, capsys):

@@ -20,7 +20,6 @@ from ipcap import (
     delta_w,
     divergence_probability,
     fixed_point,
-    lyapunov_direct,
     lyapunov_spectrum,
     nullclines,
     simulate_approx_model,
@@ -30,6 +29,25 @@ from ipcap import narma
 from ipcap.systems import NARMA_DIVERGENCE_LIMIT
 
 _NARMA_BATCH = narma._narma_batch
+
+
+def lyapunov_direct(config, lcfg, zeta):
+    """Literal windowed form: singular values of M-step Jacobian products.
+
+    Quadratic in T * M; kept as the small-scale oracle for the QR path. The
+    log singular values are divided by M so both forms are per-step rates.
+    """
+    n_steps = lcfg.T + lcfg.M - 1
+    X, Y = narma._jacobian_blocks(config, zeta, n_steps)
+    sums = np.zeros(lcfg.n_exponents)
+    for t in range(lcfg.T):
+        G = np.eye(10)
+        for m in range(lcfg.M):
+            G = narma._apply_jacobian(G, X[t + m], Y[t + m])
+        sv = np.linalg.svd(G, compute_uv=False)[: lcfg.n_exponents]
+        with np.errstate(divide="ignore"):
+            sums += np.log(sv)
+    return sums / (lcfg.T * lcfg.M)
 
 
 def test_fixed_point_zero_mean_input():

@@ -17,10 +17,16 @@ from ipcap import (
     build_target,
     enumerate_chaos,
     eval_table,
-    eval_univariate,
     fit_gram_schmidt,
     sample_stream,
 )
+
+
+def eval_univariate(family, degree, zeta):
+    """Single polynomial value F_degree(zeta)."""
+    table = eval_table(family, np.array([zeta], dtype=float), degree)
+    return float(table[0, degree])
+
 
 # frozen closed-form values: P2(0.5) = (3z^2-1)/2, H3(2) = z^3-3z,
 # C1(6; a=6) = z-a, L1^(1)(0.5) = 2-z, P1^(-1/4,-1/4)(0.5) = 3z/4,
