@@ -8,11 +8,14 @@ Sweeps batch thousands of targets through one GEMM per chunk.
 Threshold rule: a target is kept iff raw > factor * (k-th largest capacity of
 its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
 The shuffles come from one permutation stream per seed, shared by
-surrogate_threshold and the sweep, so raw > surrogate_threshold(...) is
-exactly the sweep's decision. In the sweep, exact permutation-null moments
-decide most targets and the shared surrogate panel decides the borderline
-ones; the panel stops drawing for a target once its decision is fixed, which
-leaves the decision unchanged.
+surrogate_threshold and the sweep, so raw > surrogate_threshold(...) is the
+sweep's decision (both round in the last bits only, through differently
+shaped GEMMs). In the sweep, exact permutation-null moments decide most
+targets and the shared surrogate panel decides the borderline ones. The
+panel projects its draws in chunks of up to max(1, 32 // rank) draws per
+GEMM and stops drawing for a target once its decision is fixed. A target's
+decision is its hit count over all draws, so neither the chunking nor the
+early stop can change it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ DEFAULT_WASHOUT = 1000
 # target per surrogate leaves the mis-banding probability negligible even for
 # 10^5-target sweeps.
 _SCREEN_T = 40.0
+
+# Basis columns per panel GEMM: a chunk projects max(1, _PANEL_COLS // rank)
+# draws at once, so rank 1 reads each target row once per 32 draws.
+_PANEL_COLS = 32
+
+# Borderline targets collected per panel call in capacity_sweep.
+_PANEL_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +210,9 @@ def surrogate_threshold(
     _check_length(target.values, basis)
     phi = target.values[None, :]
     perms = _perm_stream(seed, basis.T)
-    caps = [_capacities(phi, basis.P[next(perms)])[0] for _ in range(n_surrogates)]
+    # one draw per GEMM: a chunked block would project this single row with
+    # another BLAS kernel, whose last bits differ from phi @ P[perm]
+    caps = [_draw_capacities(phi, basis.P, None, [next(perms)])[0, 0] for _ in range(n_surrogates)]
     return factor * float(np.sort(caps)[-cfg.quantile_index()])
 
 
@@ -289,6 +301,55 @@ def _screen_bounds(stats: dict, phi_mean: float) -> tuple[float, float]:
     return b_lo, b_hi
 
 
+def _chunk_cap(rank: int) -> int:
+    """Most draws one panel GEMM projects: max(1, _PANEL_COLS // rank)."""
+    return max(1, _PANEL_COLS // max(rank, 1))
+
+
+def _draw_chunks(n: int, cap: int):
+    """Draw ranges of one panel: 1, 1, 2, 4, ... draws, at most cap each.
+
+    The first chunks are single draws, so rows decided on the first draws
+    never pay for a wide chunk.
+    """
+    i = 0
+    while i < n:
+        stop = i + min(max(i, 1), cap, n - i)
+        yield range(i, stop)
+        i = stop
+
+
+def _draw_capacities(
+    rows: np.ndarray, P: np.ndarray, Pt: np.ndarray | None, perms: list[np.ndarray]
+) -> np.ndarray:
+    """(b, D) capacities of the unit-norm target rows against P gathered by each of D permutations.
+
+    Column d is sum_j (p_j^T phi)^2 over the rows of P gathered by perms[d].
+    A single draw projects onto P[perm], as one (T, r) gather. Several draws
+    are gathered row-major from Pt, the C-contiguous P.T, into one (D*r, T)
+    block and projected in one GEMM. At high rank (_chunk_cap(r) == 1) and
+    with fewer rows than basis columns (b < r), the rows are gathered by the
+    inverse permutation instead: the same capacity from b x T moved values in
+    place of T x r. Below that rank the saving is at most _PANEL_COLS / 2
+    values per time step.
+    """
+    b, T = rows.shape
+    r, D = P.shape[1], len(perms)
+    if D == 1:
+        (p,) = perms
+        if b < r and _chunk_cap(r) == 1:
+            inv = np.empty_like(p)
+            inv[p] = np.arange(T, dtype=p.dtype)
+            return _capacities(rows[:, inv], P)[:, None]
+        return _capacities(rows, P[p])[:, None]
+    G = np.empty((D * r, T))
+    for d, p in enumerate(perms):
+        # mode="clip" lets take write straight into G; every index is in range
+        np.take(Pt, p, axis=1, out=G[d * r : (d + 1) * r], mode="clip")
+    S = (rows @ G.T).reshape(b, D, r)
+    return np.einsum("bdr,bdr->bd", S, S)
+
+
 def _panel_keep(
     basis: SvdBasis, perm, phis: np.ndarray, raws: np.ndarray, threshold: ThresholdConfig
 ) -> np.ndarray:
@@ -296,22 +357,36 @@ def _panel_keep(
 
     Draw i hits a target when factor * cap_i >= raw; a target is kept iff it
     has fewer than k hits over all draws. Hits only grow, so a target is
-    rejected at its k-th hit without the remaining draws (Besag & Clifford
-    1991), and only undecided rows are projected. Shuffling the target by pi
-    gives the same capacity as gathering the basis rows by pi^{-1}; gathering
-    by the drawn permutation perm(i) instead samples the identical uniform
-    ensemble, so the basis is permuted once per draw for the whole batch.
+    rejected once it has k hits, without the remaining draws (Besag & Clifford
+    1991), and only undecided rows are projected. Draws are projected in
+    chunks (_draw_chunks); the decision is the hit count over all draws, so
+    the chunking cannot change it. Shuffling the target by pi gives the same
+    capacity as gathering the basis rows by pi^{-1}; gathering by the drawn
+    permutation perm(i) instead samples the identical uniform ensemble, so the
+    basis is permuted once per draw for the whole batch. phis and raws are
+    not modified.
     """
     k = threshold.quantile_index()
+    cap = _chunk_cap(basis.rank)
+    Pt = np.ascontiguousarray(basis.P.T) if cap > 1 else None
     hits = np.zeros(raws.size, dtype=int)
     alive = np.arange(raws.size)
-    for i in range(threshold.n_surrogates):
+    rows = phis
+    for draws in _draw_chunks(threshold.n_surrogates, cap):
         if alive.size == 0:
             break
-        hits[alive] += threshold.factor * _capacities(phis, basis.P[perm(i)]) >= raws
-        undecided = hits[alive] < k
-        if not undecided.all():
-            alive, phis, raws = alive[undecided], phis[undecided], raws[undecided]
+        caps = _draw_capacities(rows, basis.P, Pt, [perm(i) for i in draws])
+        hits[alive] += np.count_nonzero(threshold.factor * caps >= raws[:, None], axis=1)
+        undecided = np.flatnonzero(hits[alive] < k)
+        if undecided.size < alive.size:
+            alive, raws = alive[undecided], raws[undecided]
+            if rows is phis:
+                # the one working copy; later shrinks compact it in place
+                rows = phis[undecided]
+            else:
+                for dst, src in enumerate(undecided):
+                    rows[dst] = rows[src]
+                rows = rows[: undecided.size]
     return hits < k
 
 
@@ -359,6 +434,8 @@ def capacity_sweep(
     if threshold is not None:
         stats = _basis_screen_stats(basis)
         stream, perms = _perm_stream(threshold.seed, T), []
+        # borderline rows wait here for the panel, written in place
+        pending = np.empty((_PANEL_ROWS, T))
 
         def perm(i: int) -> np.ndarray:
             # drawn on first use, then shared by every flush
@@ -368,17 +445,15 @@ def capacity_sweep(
 
     results: dict[str, tuple[int, float, float]] = {}
     skipped: list[tuple[str, str]] = []
-    pending_phis: list[np.ndarray] = []
     pending_info: list[tuple[str, int, float]] = []
 
     def flush_pending():
-        if not pending_phis:
+        if not pending_info:
             return
         raws = np.array([raw for _, _, raw in pending_info])
-        keep = _panel_keep(basis, perm, np.stack(pending_phis), raws, threshold)
+        keep = _panel_keep(basis, perm, pending[: len(pending_info)], raws, threshold)
         for (label, order, raw), kept in zip(pending_info, keep):
             results[label] = (order, raw, raw if kept else 0.0)
-        pending_phis.clear()
         pending_info.clear()
 
     Z = np.empty((min(batch, len(specs)), T))
@@ -411,9 +486,9 @@ def capacity_sweep(
             elif raw <= threshold.factor * b_lo:
                 results[label] = (order, raw, 0.0)
             else:
-                pending_phis.append(Z[idx].copy())
+                pending[len(pending_info)] = Z[idx]
                 pending_info.append((label, order, raw))
-                if len(pending_phis) >= 128:
+                if len(pending_info) == _PANEL_ROWS:
                     flush_pending()
     if threshold is not None:
         flush_pending()

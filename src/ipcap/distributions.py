@@ -9,6 +9,7 @@ to a raw stream before it drives a system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,10 @@ _DEFAULT_PARAMS: dict[str, dict] = {
     "zipf": {"s": 1.0, "k_max": 50},
     "bernoulli": {"p": 0.5},
 }
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require(cond: bool, field_name: str, message: str) -> None:
@@ -113,6 +118,16 @@ class DistributionSpec:
         unknown = set(self.params) - set(merged)
         if unknown:
             raise ParameterError(f"params: unknown parameter(s) {sorted(unknown)} for {self.kind}")
+        for key, value in self.params.items():
+            if key == "components":
+                want = "a list of (weight, mean, sd) lists"
+                ok = isinstance(value, (list, tuple)) and all(
+                    isinstance(c, (list, tuple)) and all(map(_is_real, c)) for c in value
+                )
+            else:
+                want, ok = "a number", _is_real(value)
+            if not ok:
+                raise ParameterError(f"{self.kind}.{key}: expected {want}, got {value!r}")
         merged.update(self.params)
         _validate(self.kind, merged)
         object.__setattr__(self, "params", merged)

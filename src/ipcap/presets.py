@@ -103,10 +103,19 @@ _REAL_KEYS = {
     "delta", "omega", "tau", "significance_pct", "factor", "sigma", "z10", "w1_min", "w1_max",
     "a_min", "a_max", "b_min", "b_max", "train_frac",
 }
+# list-valued keys and the kind of their entries, in whichever block the key appears
+_LIST_KEYS = {
+    "sigmas": "numbers", "rhos": "numbers", "n1": "integers", "n2": "integers",
+    "temporal": "integers", "activations": "names",
+}
 
 
 def _is_number(value, integral: bool = False) -> bool:
     return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+
+
+def _is_entry(value, kind: str) -> bool:
+    return isinstance(value, str) if kind == "names" else _is_number(value, kind == "integers")
 
 
 def _check_keys(block: str, payload, allowed) -> None:
@@ -119,6 +128,11 @@ def _check_keys(block: str, payload, allowed) -> None:
         if (integral or key in _REAL_KEYS) and not _is_number(value, integral):
             kind = "an integer" if integral else "a number"
             raise ConfigError(f"{block}.{key}: expected {kind}, got {value!r}")
+        kind = _LIST_KEYS.get(key)
+        if kind and not (
+            isinstance(value, (list, tuple)) and all(_is_entry(v, kind) for v in value)
+        ):
+            raise ConfigError(f"{block}.{key}: expected a list of {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,10 @@ class ExperimentConfig:
             if "family" not in sweep:
                 raise ConfigError("sweep.family: required for capacity experiments")
             blocks = sweep.get("degree_blocks")
-            if not blocks:
-                raise ConfigError("sweep.degree_blocks: at least one [degree, max_delay] pair required")
+            if not blocks or not isinstance(blocks, (list, tuple)):
+                raise ConfigError(
+                    f"sweep.degree_blocks: a list of [degree, max_delay] pairs required, got {blocks!r}"
+                )
             for pair in blocks:
                 if not (
                     isinstance(pair, (list, tuple))

@@ -444,6 +444,67 @@ def test_panel_runs_every_draw_when_all_targets_are_kept():
     assert used == list(range(threshold.n_surrogates))
 
 
+def ranked_panel_case(rank, rows, T=240):
+    """A rank-`rank` basis and unit-norm rows from pure noise to mostly signal."""
+    rng = np.random.default_rng(100 + rank)
+    basis = decompose(StateMatrix(rng.normal(size=(T, rank))))
+    signal = basis.P @ rng.normal(size=rank)
+    signal *= math.sqrt(rank) / np.linalg.norm(signal)
+    phis = rng.normal(size=(rows, T)) + np.geomspace(0.05, 3.0, rows)[:, None] * signal
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    return basis, phis
+
+
+# ranks 1, 2 and 16 project 32, 16 and 2 draws per GEMM; ranks 17 and 24 one,
+# and gather the rows once fewer rows than the rank are undecided
+@pytest.mark.parametrize("rank, rows", [(1, 40), (2, 40), (16, 40), (17, 40), (24, 6)])
+@pytest.mark.parametrize("n, pct", [(20, 30.0), (45, 10.0), (200, 5.0)])
+def test_chunked_panel_matches_full_panel(rank, rows, n, pct):
+    threshold = ThresholdConfig(n_surrogates=n, significance_pct=pct, factor=1.0, seed=rank)
+    assert threshold.quantile_index() > 1
+    basis, phis = ranked_panel_case(rank, rows)
+    assert basis.rank == rank
+    raws = panel_raws(basis, phis)
+    perms, perm, used = panel_draws(threshold, basis.T)
+    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    assert keep.tolist() == full_panel_keep(basis, perms, phis, raws, threshold).tolist()
+    assert 0 < keep.sum() < rows
+    # every draw is requested once, in stream order, and all of them for a kept row
+    assert used == list(range(n))
+
+
+def test_panel_exact_tie_at_rank_one_is_rejected_at_kth_hit():
+    # every entry of a Hadamard column is +-1/4, so a spike target ties
+    # factor * cap == raw on every draw; chunks of 1, 1, 2 and 4 draws
+    # reach the 5th hit inside the fourth chunk
+    H = np.array([[1.0]])
+    for _ in range(4):
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+    basis = SvdBasis(P=H[:, 1:2] / 4.0, sigma=np.ones(1), Q=np.eye(1), rank=1, rank_tol=1e-10)
+    threshold = ThresholdConfig(n_surrogates=40, significance_pct=25.0, factor=1.0)
+    assert threshold.quantile_index() == 5
+    phis = np.eye(16)
+    raws = panel_raws(basis, phis)
+    assert (raws == 1 / 16).all()
+    perms, perm, used = panel_draws(threshold, 16)
+    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    assert not keep.any()
+    assert not full_panel_keep(basis, perms, phis, raws, threshold).any()
+    assert used == list(range(8))
+
+
+@pytest.mark.parametrize("rank, rows", [(1, 40), (17, 40)])
+def test_panel_leaves_its_arguments_unmodified(rank, rows):
+    threshold = ThresholdConfig(n_surrogates=45, significance_pct=10.0, factor=1.0, seed=rank)
+    basis, phis = ranked_panel_case(rank, rows)
+    raws = panel_raws(basis, phis)
+    phis_before, raws_before = phis.copy(), raws.copy()
+    _, perm, _ = panel_draws(threshold, basis.T)
+    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    assert 0 < keep.sum() < rows
+    assert np.array_equal(phis, phis_before) and np.array_equal(raws, raws_before)
+
+
 def test_sweep_decisions_match_full_panel(monkeypatch):
     zeta = sample_stream(DistributionSpec(kind="uniform"), 410, seed=71)
     state = StateMatrix(np.random.default_rng(73).normal(size=(400, 6)))
@@ -505,6 +566,20 @@ def test_surrogate_threshold_is_the_panel_quantile(pct, factor):
                 caps.append(np.einsum("br,br->b", S, S)[0])
             kth = np.sort(caps)[-threshold.quantile_index()]
             assert surrogate_threshold(basis, target, **threshold.to_dict()) == factor * float(kth)
+
+
+def test_surrogate_threshold_at_high_rank_is_the_panel_quantile():
+    # at rank 24 the single target row is gathered by the inverse permutation,
+    # so the capacities equal the per-draw basis gather up to rounding
+    threshold = ThresholdConfig(n_surrogates=40, significance_pct=10.0, seed=13)
+    basis, phis = ranked_panel_case(24, 3)
+    perms, _, _ = panel_draws(threshold, basis.T)
+    for phi in phis:
+        target = TargetSeries(values=phi, spec=ChaosSpec(terms=((1, 1),)), norm=1.0)
+        caps = [float(np.sum((phi @ basis.P[p]) ** 2)) for p in perms]
+        kth = np.sort(caps)[-threshold.quantile_index()]
+        eps = surrogate_threshold(basis, target, **threshold.to_dict())
+        assert eps == pytest.approx(threshold.factor * kth, rel=1e-12)
 
 
 def screen_case(rng, T):

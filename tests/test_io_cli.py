@@ -304,8 +304,19 @@ def capacity_config_text(**blocks):
         ("ipc", capacity_config_text(system={"kind": "esn", "n_nodes": "ten"})),
         ("ipc", capacity_config_text()[:-9]),
         ("narma", json.dumps({"kind": "narma_suite", "analysis": {"divergence": {"horizn": 10}}})),
+        ("ipc", capacity_config_text(sweep={"family": {"kind": "legendre"}, "degree_blocks": 5})),
+        ("narma", json.dumps({"kind": "narma_suite", "analysis": {"divergence": {"sigmas": 0.3}}})),
+        (
+            "ipc",
+            capacity_config_text(
+                input={"distribution": {"kind": "uniform", "params": {"low": "a"}}, "T": 200}
+            ),
+        ),
     ],
-    ids=["degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key"],
+    ids=[
+        "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
+        "degree_blocks_scalar", "sigmas_scalar", "distribution_param_type",
+    ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
     cfg_path = tmp_path / "cfg.json"
