@@ -3,7 +3,11 @@
 The capacity of a unit-norm target phi against a state matrix X = P S Q^T is
 sum_j (p_j^T phi)^2 over the rank-r left singular directions, identical to the
 least-squares emulation score but computed without forming (X^T X)^{-1}.
-Sweeps batch thousands of targets through one GEMM per chunk.
+Sweeps take targets in prefix order, in batches, and build, project and
+reduce each batch one time tile at a time, so no buffer spans a batch times
+all T steps. A target whose term prefix, or whose pure version, sits in the
+same batch is that row times one more factor, bitwise the product built from
+scratch. Norms and projections are summed over the tiles.
 
 Threshold rule: a target is kept iff raw > factor * (k-th largest capacity of
 its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .polychaos import ChaosSpec, PolynomialFamily, TargetSeries, eval_table
-from .polychaos import _crossed, _fill_target, _time_factor
+from .polychaos import _crossed, _fill_product, _fill_target, _time_factor
 
 # rows discarded from the head of every simulated trajectory before analysis
 DEFAULT_WASHOUT = 1000
@@ -44,6 +48,11 @@ _PANEL_COLS = 32
 
 # Borderline targets collected per panel call in capacity_sweep.
 _PANEL_ROWS = 128
+
+# Time steps per tile of the sweep's batch buffer: one (batch, _TILE) buffer
+# in place of (batch, T), and a 64 KiB tile row stays in L2 between its fill
+# and its reductions.
+_TILE = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +413,23 @@ def _sweep_window(
     return start, end
 
 
+def _nearest_ancestor(rows: dict, spec: ChaosSpec) -> tuple[int | None, int]:
+    """(row, depth) of spec's nearest ancestor in rows, or (None, 0) if none is there.
+
+    rows maps (terms, temporal) to a row; the ancestor's row holds the product
+    of spec's first depth terms. depth == len(spec.terms) is the pure row of
+    a temporal spec, which lacks only the time factor.
+    """
+    terms = spec.terms
+    if spec.temporal is not None and (terms, None) in rows:
+        return rows[terms, None], len(terms)
+    for depth in range(len(terms) - 1, 0, -1):
+        row = rows.get((terms[:depth], None))
+        if row is not None:
+            return row, depth
+    return None, 0
+
+
 def capacity_sweep(
     basis: SvdBasis,
     specs: list[ChaosSpec],
@@ -444,7 +470,7 @@ def capacity_sweep(
             return perms[i]
 
     results: dict[str, tuple[int, float, float]] = {}
-    skipped: list[tuple[str, str]] = []
+    skipped: list[tuple[int, str, str]] = []  # (spec index, label, reason)
     pending_info: list[tuple[str, int, float]] = []
 
     def flush_pending():
@@ -456,42 +482,80 @@ def capacity_sweep(
             results[label] = (order, raw, raw if kept else 0.0)
         pending_info.clear()
 
-    Z = np.empty((min(batch, len(specs)), T))
+    # prefix order: each spec after its term prefixes, a temporal one after its pure one
+    trie_order = sorted(
+        range(len(specs)),
+        key=lambda i: (specs[i].terms, specs[i].temporal is not None, specs[i].temporal),
+    )
+    width = min(_TILE, T)
+    Z = np.empty((min(batch, len(specs)), width))
+    ones = np.ones(width)
     for lo in range(0, len(specs), batch):
-        infos = []
-        for spec in specs[lo : lo + batch]:
-            label = spec.label()
+        plan = []  # (spec index, ancestor row, terms left to multiply, time factor)
+        rows = {}  # (terms, temporal) -> row in plan
+        for i in trie_order[lo : lo + batch]:
+            spec = specs[i]
             if start < spec.max_delay:
-                skipped.append((label, f"delay {spec.max_delay} exceeds window start {start}"))
+                skipped.append((i, spec.label(), f"delay {spec.max_delay} exceeds window start {start}"))
                 continue
-            norm = _fill_target(Z[len(infos)], spec, table, start, trig)
-            if not 0.0 < norm < math.inf:
-                skipped.append((label, f"degenerate target (norm {norm})"))
+            base, depth = _nearest_ancestor(rows, spec)
+            rows[spec.terms, spec.temporal] = len(plan)
+            factor = trig(*spec.temporal) if spec.temporal is not None else None
+            plan.append((i, base, spec.terms[depth:], factor))
+        if not plan:
+            continue
+        b = len(plan)
+        S, ssq, sums = np.zeros((b, basis.rank)), np.zeros(b), np.zeros(b)
+        # Overflow and invalid operations here only arise in rows whose norm
+        # comes out non-finite, and those are reported as degenerate below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t0 in range(0, T, width):
+                t1 = min(t0 + width, T)
+                Zt, ones_t = Z[:b, : t1 - t0], ones[: t1 - t0]
+                for j, (_, base, terms, factor) in enumerate(plan):
+                    row = Zt[j]
+                    _fill_product(
+                        row,
+                        terms,
+                        table,
+                        start + t0,
+                        None if factor is None else factor[t0:t1],
+                        None if base is None else Zt[base],
+                    )
+                    # reduced while the row is still in cache
+                    ssq[j] += row @ row
+                    sums[j] += row @ ones_t
+                S += Zt @ basis.P[t0:t1]
+        norms = np.sqrt(ssq)
+        good = (0.0 < norms) & (norms < math.inf)
+        for j in np.flatnonzero(~good):
+            i = plan[j][0]
+            skipped.append((i, specs[i].label(), f"degenerate target (norm {float(norms[j])})"))
+        good = np.flatnonzero(good)
+        norms = norms[good]
+        Sn = S[good] / norms[:, None]
+        raws = np.einsum("br,br->b", Sn, Sn)
+        phi_means = sums[good] / norms / T
+        for j, raw, phi_mean in zip(good, raws.tolist(), phi_means.tolist()):
+            spec = specs[plan[j][0]]
+            label, order = spec.label(), spec.total_degree
+            if threshold is None:
+                results[label] = (order, raw, raw)
                 continue
-            infos.append((label, spec.total_degree))
-        if not infos:
-            continue
-        Zc = Z[: len(infos)]
-        raws = _capacities(Zc, basis.P)
-        if threshold is None:
-            for (label, order), raw in zip(infos, raws):
-                results[label] = (order, float(raw), float(raw))
-            continue
-        phi_means = Zc.mean(axis=1)
-        for idx, ((label, order), raw) in enumerate(zip(infos, raws)):
-            raw = float(raw)
-            b_lo, b_hi = _screen_bounds(stats, float(phi_means[idx]))
+            b_lo, b_hi = _screen_bounds(stats, phi_mean)
             if raw > threshold.factor * b_hi:
                 results[label] = (order, raw, raw)
             elif raw <= threshold.factor * b_lo:
                 results[label] = (order, raw, 0.0)
             else:
-                pending[len(pending_info)] = Z[idx]
+                # refilled at full length, so the panel sees the one-pass row
+                _fill_target(pending[len(pending_info)], spec, table, start, trig)
                 pending_info.append((label, order, raw))
                 if len(pending_info) == _PANEL_ROWS:
                     flush_pending()
     if threshold is not None:
         flush_pending()
+    skipped.sort(key=lambda item: item[0])
 
     entries = [
         CapacityEntry(label, order, raw, thr)
@@ -510,7 +574,7 @@ def capacity_sweep(
         total=total,
         rank=basis.rank,
         threshold_meta=threshold.to_dict() if threshold is not None else {},
-        skipped=tuple(skipped),
+        skipped=tuple((label, why) for _, label, why in skipped),
         meta=dict(meta or {}),
     )
 

@@ -408,6 +408,25 @@ def _time_factor(T: int, k: int, kind: str) -> np.ndarray:
     return np.cos(phase) if kind == "cos" else np.sin(phase)
 
 
+def _fill_product(out: np.ndarray, terms, table: np.ndarray, lo: int, factor=None, base=None) -> None:
+    """Write base times the terms' table slices times factor into out, in place.
+
+    Element i is base[i] * prod_(s, n) table[n, lo + i - s] * factor[i], taken
+    left to right; a missing base or factor is omitted. So a row built on its
+    prefix's row is bitwise the row built from scratch.
+    """
+    hi = lo + out.shape[0]
+    acc = base
+    for s, n in terms:
+        if acc is None:
+            out[:] = table[n, lo - s : hi - s]
+        else:
+            np.multiply(acc, table[n, lo - s : hi - s], out=out)
+        acc = out
+    if factor is not None:
+        np.multiply(acc, factor, out=out)
+
+
 def _fill_target(row: np.ndarray, spec: ChaosSpec, table: np.ndarray, start: int, trig) -> float:
     """Write spec's target over window [start, start + len(row)) into row, in place.
 
@@ -415,13 +434,8 @@ def _fill_target(row: np.ndarray, spec: ChaosSpec, table: np.ndarray, start: int
     trig(k, kind) gives the time factor. The row is normalized to unit norm
     when its norm is positive and finite; the norm is returned either way.
     """
-    end = start + row.shape[0]
-    (s, n), *rest = spec.terms
-    row[:] = table[n, start - s : end - s]
-    for s, n in rest:
-        row *= table[n, start - s : end - s]
-    if spec.temporal is not None:
-        row *= trig(*spec.temporal)
+    factor = trig(*spec.temporal) if spec.temporal is not None else None
+    _fill_product(row, spec.terms, table, start, factor)
     norm = float(np.linalg.norm(row))
     if 0.0 < norm < math.inf:
         row /= norm

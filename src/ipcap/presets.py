@@ -103,6 +103,8 @@ _REAL_KEYS = {
     "delta", "omega", "tau", "significance_pct", "factor", "sigma", "z10", "w1_min", "w1_max",
     "a_min", "a_max", "b_min", "b_max", "train_frac",
 }
+# integer keys that must be >= 0, in whichever block the key appears
+_NONNEGATIVE_KEYS = {"seed", "weight_seed", "washout"}
 # list-valued keys and the kind of their entries, in whichever block the key appears
 _LIST_KEYS = {
     "sigmas": "numbers", "rhos": "numbers", "n1": "integers", "n2": "integers",
@@ -128,6 +130,8 @@ def _check_keys(block: str, payload, allowed) -> None:
         if (integral or key in _REAL_KEYS) and not _is_number(value, integral):
             kind = "an integer" if integral else "a number"
             raise ConfigError(f"{block}.{key}: expected {kind}, got {value!r}")
+        if key in _NONNEGATIVE_KEYS and value < 0:
+            raise ConfigError(f"{block}.{key}: must be >= 0, got {value!r}")
         kind = _LIST_KEYS.get(key)
         if kind and not (
             isinstance(value, (list, tuple)) and all(_is_entry(v, kind) for v in value)

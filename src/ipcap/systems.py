@@ -20,6 +20,9 @@ NARMA_DIVERGENCE_LIMIT = 1e6
 
 ACTIVATIONS = ("linear", "tanh", "leaky_tanh")
 
+# ESN steps simulated between two divergence checks
+_ESN_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class EsnConfig:
@@ -71,17 +74,24 @@ def simulate_esn(config: EsnConfig, input_series: np.ndarray) -> StateMatrix:
     if config.activation == "leaky_tanh":
         keep = 1.0 - 1.0 / config.leak
         mix = 1.0 / config.leak
-    for t in range(L):
-        pre = W @ x + drive[t]
-        if config.activation == "linear":
-            x = pre
-        elif config.activation == "tanh":
-            x = np.tanh(pre)
-        else:
-            x = keep * x + mix * np.tanh(pre)
-        if np.max(np.abs(x)) > ESN_DIVERGENCE_LIMIT:
-            raise DivergenceError(t + 1)
-        X[t] = x
+    for t0 in range(0, L, _ESN_BLOCK):
+        t1 = min(t0 + _ESN_BLOCK, L)
+        # a diverging run goes on to the end of its block before the check
+        # below reports its first offending step; what it computes after that
+        # step is discarded, so its overflow is not reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(t0, t1):
+                pre = W @ x + drive[t]
+                if config.activation == "linear":
+                    x = pre
+                elif config.activation == "tanh":
+                    x = np.tanh(pre)
+                else:
+                    x = keep * x + mix * np.tanh(pre)
+                X[t] = x
+        over = np.flatnonzero(np.abs(X[t0:t1]).max(axis=1) > ESN_DIVERGENCE_LIMIT)
+        if over.size:
+            raise DivergenceError(t0 + int(over[0]) + 1)
     return StateMatrix(
         data=X,
         labels=tuple(f"x{i}" for i in range(config.n_nodes)),

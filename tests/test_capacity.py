@@ -1,6 +1,7 @@
 """SVD decomposition, capacity values, thresholds, detrending, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -640,3 +641,102 @@ def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
             decided += 1
     screened = decided - sum(panel_rows)
     assert screened > 500 and sum(panel_rows) > 100
+
+
+# Spec order is not trie order. T = 600 rows on 610 inputs put the window
+# start at 11. zeta[5] is NaN, so every target with a delay in 6..11 is
+# degenerate; odd inputs are zero and Legendre F_1(0) == 0, so 1@1*1@2 and its
+# children are zero everywhere.
+TILED_SPECS = [
+    ChaosSpec(terms=((1, 1), (3, 1))),
+    ChaosSpec(terms=((12, 1),)),  # delay skip
+    ChaosSpec(terms=((1, 1),)),
+    ChaosSpec(terms=((1, 1),), temporal=(3, "cos")),  # its pure spec is swept
+    ChaosSpec(terms=((2, 2),), temporal=(5, "sin")),  # its pure spec is not
+    ChaosSpec(terms=((6, 1),)),  # NaN parent
+    ChaosSpec(terms=((6, 1), (8, 2))),  # NaN child
+    ChaosSpec(terms=((6, 1), (8, 2)), temporal=(1, "cos")),  # NaN temporal child
+    ChaosSpec(terms=((1, 1), (2, 1))),  # zero norm
+    ChaosSpec(terms=((1, 1), (2, 1), (3, 2))),  # zero-norm child
+    ChaosSpec(terms=((1, 1), (3, 1), (4, 2))),
+    ChaosSpec(terms=((1, 1), (3, 1), (4, 2)), temporal=(2, "sin")),
+    ChaosSpec(terms=((3, 1), (12, 1))),  # delay skip between kept targets
+    ChaosSpec(terms=((2, 1), (4, 1), (5, 2))),  # nearest swept ancestor is 1@2
+    ChaosSpec(terms=((2, 1),)),
+    ChaosSpec(terms=((3, 2),)),
+    ChaosSpec(terms=((1, 2), (3, 1)), temporal=(4, "cos")),  # only a prefix is swept
+    ChaosSpec(terms=((1, 2),)),
+]
+TILED_SKIPPED = (
+    ("1@12", "delay 12 exceeds window start 11"),
+    ("1@6", "degenerate target (norm nan)"),
+    ("1@6*2@8", "degenerate target (norm nan)"),
+    ("1@6*2@8*cos@1", "degenerate target (norm nan)"),
+    ("1@1*1@2", "degenerate target (norm 0.0)"),
+    ("1@1*1@2*2@3", "degenerate target (norm 0.0)"),
+    ("1@3*1@12", "delay 12 exceeds window start 11"),
+)
+
+
+def tiled_sweep_case():
+    zeta = sample_stream(DistributionSpec(kind="uniform"), 610, seed=97)
+    zeta[1::2] = 0.0
+    zeta[5] = np.nan
+    rng = np.random.default_rng(101)
+    lagged = [zeta[11 - s : 611 - s] for s in (1, 2, 3, 4)]
+    X = np.column_stack(lagged + [lagged[0] * lagged[2], rng.normal(size=600)])
+    return decompose(StateMatrix(X)), zeta
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+@pytest.mark.parametrize("batch", [3, 256])
+@pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, significance_pct=10.0, seed=3)])
+def test_tiled_sweep_matches_literal_targets(monkeypatch, tile, batch, threshold):
+    basis, zeta = tiled_sweep_case()
+    family = PolynomialFamily(kind="legendre")
+    untiled = capacity_sweep(basis, TILED_SPECS, family, zeta, threshold=threshold, batch=batch)
+    monkeypatch.setattr("ipcap.capacity._TILE", tile)
+    report = capacity_sweep(basis, TILED_SPECS, family, zeta, threshold=threshold, batch=batch)
+    assert report.skipped == untiled.skipped == TILED_SKIPPED
+    skipped = {label for label, _ in TILED_SKIPPED}
+    kept = [spec for spec in TILED_SPECS if spec.label() not in skipped]
+    raws = {e.spec: e.raw_capacity for e in report.entries}
+    assert sorted(raws) == sorted(spec.label() for spec in kept)
+    for spec in kept:
+        phi = literal_target(spec, family, zeta, 11, 600)
+        assert raws[spec.label()] == pytest.approx(literal_capacity(basis, phi), abs=1e-12)
+    decisions = [(e.spec, e.thresholded_capacity != 0.0) for e in report.entries]
+    assert decisions == [(e.spec, e.thresholded_capacity != 0.0) for e in untiled.entries]
+    if threshold is not None:
+        assert 0 < sum(kept for _, kept in decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+def test_tiled_sweep_on_a_rank_zero_basis(monkeypatch, tile):
+    _, zeta = tiled_sweep_case()
+    basis = decompose(StateMatrix(np.zeros((600, 2))))
+    assert basis.rank == 0
+    monkeypatch.setattr("ipcap.capacity._TILE", tile)
+    family = PolynomialFamily(kind="legendre")
+    for threshold in (None, ThresholdConfig()):
+        report = capacity_sweep(basis, TILED_SPECS, family, zeta, threshold=threshold, batch=3)
+        assert report.skipped == TILED_SKIPPED
+        assert len(report.entries) == len(TILED_SPECS) - len(TILED_SKIPPED)
+        assert all(e.raw_capacity == 0.0 for e in report.entries)
+
+
+def test_sweep_memory_does_not_grow_with_batch_times_length():
+    # without the time tiles the batch buffer alone is 300 x 1e5 doubles, 240 MB
+    T = 100_000
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + 14, seed=103)
+    basis = decompose(StateMatrix(np.random.default_rng(107).normal(size=(T, 2))))
+    assert basis.rank == 2
+    specs = enumerate_chaos(3, 14)[:300]
+    tracemalloc.start()
+    try:
+        report = capacity_sweep(basis, specs, PolynomialFamily(kind="legendre"), zeta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == 300
+    assert peak < 64 * 2**20

@@ -312,10 +312,22 @@ def capacity_config_text(**blocks):
                 input={"distribution": {"kind": "uniform", "params": {"low": "a"}}, "T": 200}
             ),
         ),
+        ("ipc", capacity_config_text(threshold={"seed": -3})),
+        ("ipc", capacity_config_text(input={"distribution": {"kind": "uniform"}, "T": 200, "seed": -1})),
+        ("ipc", capacity_config_text(input={"distribution": {"kind": "uniform"}, "T": 200, "washout": -50})),
+        ("ipc", capacity_config_text(system={"kind": "esn", "weight_seed": -1})),
+        (
+            "narma",
+            json.dumps(
+                {"kind": "narma_suite", "analysis": {"divergence": {"sigmas": [0.3], "seed": -2}}}
+            ),
+        ),
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
         "degree_blocks_scalar", "sigmas_scalar", "distribution_param_type",
+        "threshold_seed_negative", "input_seed_negative", "washout_negative",
+        "weight_seed_negative", "analysis_seed_negative",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):

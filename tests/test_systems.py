@@ -1,6 +1,7 @@
 """Reference dynamical systems: ESNs, NARMA10, the limit cycle, readouts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ipcap import (
     simulate_narma10,
     train_readout,
 )
+from ipcap.systems import _ESN_BLOCK, ESN_DIVERGENCE_LIMIT
 
 
 def test_esn_config_validation():
@@ -87,6 +89,54 @@ def test_esn_divergence_reports_step():
     with pytest.raises(DivergenceError) as err:
         simulate_esn(cfg, np.ones(400))
     assert 1 <= err.value.step <= 400
+
+
+def esn_reference(config, u):
+    """The ESN loop with the divergence check after every step, as the reference."""
+    W, w_in = config.build_weights()
+    drive = config.input_intensity * np.outer(u, w_in)
+    X = np.empty((u.size, config.n_nodes))
+    x = np.zeros(config.n_nodes)
+    for t in range(u.size):
+        pre = W @ x + drive[t]
+        if config.activation == "linear":
+            x = pre
+        elif config.activation == "tanh":
+            x = np.tanh(pre)
+        else:
+            x = (1.0 - 1.0 / config.leak) * x + (1.0 / config.leak) * np.tanh(pre)
+        if np.max(np.abs(x)) > ESN_DIVERGENCE_LIMIT:
+            raise DivergenceError(t + 1)
+        X[t] = x
+    return X
+
+
+# two whole blocks between divergence checks and a partial third
+ESN_STEPS = 2 * _ESN_BLOCK + 123
+
+
+@pytest.mark.parametrize("activation", ["linear", "tanh", "leaky_tanh"])
+def test_esn_states_equal_the_per_step_reference(activation):
+    cfg = EsnConfig(n_nodes=12, spectral_radius=0.95, input_intensity=0.5, activation=activation)
+    u = np.random.default_rng(11).uniform(-1.0, 1.0, ESN_STEPS)
+    assert np.array_equal(simulate_esn(cfg, u).data, esn_reference(cfg, u))
+
+
+# the first row of a block, its last row, and a row of the final partial block
+@pytest.mark.parametrize("spike", [0, _ESN_BLOCK, 2 * _ESN_BLOCK - 1, 2 * _ESN_BLOCK + 50])
+def test_esn_divergence_step_equals_the_per_step_reference(spike):
+    cfg = EsnConfig(n_nodes=12, spectral_radius=1.5, input_intensity=1.0, activation="linear")
+    # the state is exactly zero up to the spike and crosses the limit there;
+    # from a block's first row on, it then grows to inf and nan within the block
+    u = np.zeros(ESN_STEPS)
+    u[spike] = 1e11
+    with pytest.raises(DivergenceError) as ref:
+        esn_reference(cfg, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate_esn(cfg, u)
+    assert err.value.step == ref.value.step == spike + 1
 
 
 def test_1d_esn_bounded_and_deterministic():
