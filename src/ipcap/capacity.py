@@ -20,11 +20,21 @@ panel projects its draws in chunks of up to max(1, 32 // rank) draws per
 GEMM and stops drawing for a target once its decision is fixed. A target's
 decision is its hit count over all draws, so neither the chunking nor the
 early stop can change it.
+
+A thresholded sweep runs the panel on one background thread, the only
+Python thread ipcap starts: borderline targets are queued to it while the
+sweeping thread builds, projects and reduces the next tiles, and its
+decisions are read after it is joined. The thread alone draws the
+permutations, so how the two threads interleave cannot change a decision.
+BLAS thread settings are left as they are, and a sweep without a threshold
+starts no thread.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -221,7 +231,7 @@ def surrogate_threshold(
     perms = _perm_stream(seed, basis.T)
     # one draw per GEMM: a chunked block would project this single row with
     # another BLAS kernel, whose last bits differ from phi @ P[perm]
-    caps = [_draw_capacities(phi, basis.P, None, [next(perms)])[0, 0] for _ in range(n_surrogates)]
+    caps = [_draw_capacities(phi, basis.P, None, [next(perms)], None)[0, 0] for _ in range(n_surrogates)]
     return factor * float(np.sort(caps)[-cfg.quantile_index()])
 
 
@@ -329,18 +339,23 @@ def _draw_chunks(n: int, cap: int):
 
 
 def _draw_capacities(
-    rows: np.ndarray, P: np.ndarray, Pt: np.ndarray | None, perms: list[np.ndarray]
+    rows: np.ndarray,
+    P: np.ndarray,
+    Pt: np.ndarray | None,
+    perms: list[np.ndarray],
+    G: np.ndarray | None,
 ) -> np.ndarray:
     """(b, D) capacities of the unit-norm target rows against P gathered by each of D permutations.
 
     Column d is sum_j (p_j^T phi)^2 over the rows of P gathered by perms[d].
     A single draw projects onto P[perm], as one (T, r) gather. Several draws
-    are gathered row-major from Pt, the C-contiguous P.T, into one (D*r, T)
-    block and projected in one GEMM. At high rank (_chunk_cap(r) == 1) and
-    with fewer rows than basis columns (b < r), the rows are gathered by the
-    inverse permutation instead: the same capacity from b x T moved values in
-    place of T x r. Below that rank the saving is at most _PANEL_COLS / 2
-    values per time step.
+    are gathered row-major from Pt, the C-contiguous P.T, into the first D*r
+    rows of G, a (cap*r, T) block the caller reuses across chunks, and
+    projected in one GEMM. At high rank (_chunk_cap(r) == 1) and with fewer
+    rows than basis columns (b < r), the rows are gathered by the inverse
+    permutation instead: the same capacity from b x T moved values in place
+    of T x r. Below that rank the saving is at most _PANEL_COLS / 2 values
+    per time step.
     """
     b, T = rows.shape
     r, D = P.shape[1], len(perms)
@@ -351,7 +366,7 @@ def _draw_capacities(
             inv[p] = np.arange(T, dtype=p.dtype)
             return _capacities(rows[:, inv], P)[:, None]
         return _capacities(rows, P[p])[:, None]
-    G = np.empty((D * r, T))
+    G = G[: D * r]
     for d, p in enumerate(perms):
         # mode="clip" lets take write straight into G; every index is in range
         np.take(Pt, p, axis=1, out=G[d * r : (d + 1) * r], mode="clip")
@@ -377,14 +392,18 @@ def _panel_keep(
     """
     k = threshold.quantile_index()
     cap = _chunk_cap(basis.rank)
-    Pt = np.ascontiguousarray(basis.P.T) if cap > 1 else None
+    Pt, G = None, None
+    if cap > 1:
+        Pt = np.ascontiguousarray(basis.P.T)
+        # one gather block for the widest chunk, shared by every chunk of the call
+        G = np.empty((cap * basis.rank, basis.T))
     hits = np.zeros(raws.size, dtype=int)
     alive = np.arange(raws.size)
     rows = phis
     for draws in _draw_chunks(threshold.n_surrogates, cap):
         if alive.size == 0:
             break
-        caps = _draw_capacities(rows, basis.P, Pt, [perm(i) for i in draws])
+        caps = _draw_capacities(rows, basis.P, Pt, [perm(i) for i in draws], G)
         hits[alive] += np.count_nonzero(threshold.factor * caps >= raws[:, None], axis=1)
         undecided = np.flatnonzero(hits[alive] < k)
         if undecided.size < alive.size:
@@ -397,6 +416,58 @@ def _panel_keep(
                     rows[dst] = rows[src]
                 rows = rows[: undecided.size]
     return hits < k
+
+
+def _panel_worker(
+    basis: SvdBasis,
+    table: np.ndarray,
+    start: int,
+    trig,
+    threshold: ThresholdConfig,
+    jobs: queue.SimpleQueue,
+    stop: threading.Event,
+    decided: dict,
+    failed: list,
+) -> None:
+    """Body of capacity_sweep's panel thread: decide the borderline targets sent on jobs.
+
+    Each job (spec, label, order, raw) is refilled at full length into the
+    (_PANEL_ROWS, T) pending buffer, so the panel sees the one-pass row, and
+    every full buffer goes to _panel_keep. The thread owns the buffer and the
+    permutations, drawn on first use and shared by every flush. None ends the
+    jobs: the last rows are flushed and the thread returns. Once stop is set,
+    it returns at its next job without deciding anything more. Decisions go
+    into decided, and an exception into failed; the sweep reads both after
+    join.
+    """
+    try:
+        stream, perms = _perm_stream(threshold.seed, basis.T), []
+        pending = np.empty((_PANEL_ROWS, basis.T))
+        info: list[tuple[str, int, float]] = []
+
+        def perm(i: int) -> np.ndarray:
+            while len(perms) <= i:
+                perms.append(next(stream))
+            return perms[i]
+
+        def flush():
+            raws = np.array([raw for _, _, raw in info])
+            keep = _panel_keep(basis, perm, pending[: len(info)], raws, threshold)
+            for (label, order, raw), kept in zip(info, keep):
+                decided[label] = (order, raw, raw if kept else 0.0)
+            info.clear()
+
+        for spec, label, order, raw in iter(jobs.get, None):
+            if stop.is_set():
+                return
+            _fill_target(pending[len(info)], spec, table, start, trig)
+            info.append((label, order, raw))
+            if len(info) == _PANEL_ROWS:
+                flush()
+        if info and not stop.is_set():
+            flush()
+    except BaseException as exc:  # capacity_sweep raises it again after join
+        failed.append(exc)
 
 
 def _sweep_window(
@@ -430,58 +501,23 @@ def _nearest_ancestor(rows: dict, spec: ChaosSpec) -> tuple[int | None, int]:
     return None, 0
 
 
-def capacity_sweep(
+def _tiled_raws(
     basis: SvdBasis,
     specs: list[ChaosSpec],
-    family: PolynomialFamily,
-    zeta: np.ndarray,
-    threshold: ThresholdConfig | None = None,
-    window: tuple[int, int] | None = None,
-    batch: int = 256,
-    meta: dict | None = None,
-) -> CapacityReport:
-    """Capacities of many chaos targets against one decomposed state.
+    table: np.ndarray,
+    start: int,
+    trig,
+    batch: int,
+    skipped: list[tuple[int, str, str]],
+):
+    """Yield (spec, raw capacity, mean of the unit-norm target) for every swept spec.
 
-    The default window is end-aligned: state row i is paired with target time
-    start + i, so delay 1 reads the most recent input of that row. Targets
-    whose delays do not fit the window, or that are degenerate, are reported
-    as skipped instead of aborting the sweep.
+    Specs are taken in prefix order, batch at a time, and each batch is
+    built, projected and reduced one time tile at a time. Specs whose delays
+    do not fit the window, or whose targets are degenerate, are appended to
+    skipped as (spec index, label, reason) instead.
     """
-    if not specs:
-        raise ParameterError("specs: sweep needs at least one chaos spec")
-    z = np.asarray(zeta, dtype=float).ravel()
     T = basis.T
-    start, _ = _sweep_window(specs, z, T, window)
-
-    max_deg = max(n for spec in specs for _, n in spec.terms)
-    # degree-major rows, so every factor below is a contiguous slice
-    table = np.ascontiguousarray(eval_table(family, z, max_deg).T)
-    trig = cache(partial(_time_factor, T))
-    if threshold is not None:
-        stats = _basis_screen_stats(basis)
-        stream, perms = _perm_stream(threshold.seed, T), []
-        # borderline rows wait here for the panel, written in place
-        pending = np.empty((_PANEL_ROWS, T))
-
-        def perm(i: int) -> np.ndarray:
-            # drawn on first use, then shared by every flush
-            while len(perms) <= i:
-                perms.append(next(stream))
-            return perms[i]
-
-    results: dict[str, tuple[int, float, float]] = {}
-    skipped: list[tuple[int, str, str]] = []  # (spec index, label, reason)
-    pending_info: list[tuple[str, int, float]] = []
-
-    def flush_pending():
-        if not pending_info:
-            return
-        raws = np.array([raw for _, _, raw in pending_info])
-        keep = _panel_keep(basis, perm, pending[: len(pending_info)], raws, threshold)
-        for (label, order, raw), kept in zip(pending_info, keep):
-            results[label] = (order, raw, raw if kept else 0.0)
-        pending_info.clear()
-
     # prefix order: each spec after its term prefixes, a temporal one after its pure one
     trie_order = sorted(
         range(len(specs)),
@@ -537,7 +573,57 @@ def capacity_sweep(
         raws = np.einsum("br,br->b", Sn, Sn)
         phi_means = sums[good] / norms / T
         for j, raw, phi_mean in zip(good, raws.tolist(), phi_means.tolist()):
-            spec = specs[plan[j][0]]
+            yield specs[plan[j][0]], raw, phi_mean
+
+
+def capacity_sweep(
+    basis: SvdBasis,
+    specs: list[ChaosSpec],
+    family: PolynomialFamily,
+    zeta: np.ndarray,
+    threshold: ThresholdConfig | None = None,
+    window: tuple[int, int] | None = None,
+    batch: int = 256,
+    meta: dict | None = None,
+) -> CapacityReport:
+    """Capacities of many chaos targets against one decomposed state.
+
+    The default window is end-aligned: state row i is paired with target time
+    start + i, so delay 1 reads the most recent input of that row. Targets
+    whose delays do not fit the window, or that are degenerate, are reported
+    as skipped instead of aborting the sweep. With a threshold, the
+    borderline targets go to one panel thread (_panel_worker) while this
+    thread sweeps on. That thread is joined before the sweep returns or
+    raises, and an exception raised on it is raised here.
+    """
+    if not specs:
+        raise ParameterError("specs: sweep needs at least one chaos spec")
+    z = np.asarray(zeta, dtype=float).ravel()
+    T = basis.T
+    start, _ = _sweep_window(specs, z, T, window)
+
+    max_deg = max(n for spec in specs for _, n in spec.terms)
+    # degree-major rows, so every factor below is a contiguous slice
+    table = np.ascontiguousarray(eval_table(family, z, max_deg).T)
+    trig = cache(partial(_time_factor, T))
+    results: dict[str, tuple[int, float, float]] = {}
+    skipped: list[tuple[int, str, str]] = []  # (spec index, label, reason)
+    decided: dict[str, tuple[int, float, float]] = {}  # written by the panel thread
+    failed: list[BaseException] = []
+    worker = None
+    if threshold is not None:
+        stats = _basis_screen_stats(basis)
+        jobs, stop = queue.SimpleQueue(), threading.Event()
+        worker = threading.Thread(
+            target=_panel_worker,
+            args=(basis, table, start, trig, threshold, jobs, stop, decided, failed),
+            name="ipcap-panel",
+            # a second interrupt during join must not keep the process alive
+            daemon=True,
+        )
+        worker.start()
+    try:
+        for spec, raw, phi_mean in _tiled_raws(basis, specs, table, start, trig, batch, skipped):
             label, order = spec.label(), spec.total_degree
             if threshold is None:
                 results[label] = (order, raw, raw)
@@ -548,13 +634,19 @@ def capacity_sweep(
             elif raw <= threshold.factor * b_lo:
                 results[label] = (order, raw, 0.0)
             else:
-                # refilled at full length, so the panel sees the one-pass row
-                _fill_target(pending[len(pending_info)], spec, table, start, trig)
-                pending_info.append((label, order, raw))
-                if len(pending_info) == _PANEL_ROWS:
-                    flush_pending()
-    if threshold is not None:
-        flush_pending()
+                jobs.put((spec, label, order, raw))
+    except BaseException:
+        if worker is not None:
+            # the jobs still queued are dropped; the sweep is failing anyway
+            stop.set()
+        raise
+    finally:
+        if worker is not None:
+            jobs.put(None)
+            worker.join()
+    if failed:
+        raise failed[0]
+    results.update(decided)
     skipped.sort(key=lambda item: item[0])
 
     entries = [

@@ -1,6 +1,10 @@
 """SVD decomposition, capacity values, thresholds, detrending, and sweeps."""
 
+import importlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +31,7 @@ from ipcap import (
     surrogate_threshold,
     tipc_spectrum,
 )
+import ipcap.capacity
 from ipcap.capacity import SvdBasis, _panel_keep, apply_threshold
 from ipcap.distributions import sample_stream
 
@@ -506,13 +511,17 @@ def test_panel_leaves_its_arguments_unmodified(rank, rows):
     assert np.array_equal(phis, phis_before) and np.array_equal(raws, raws_before)
 
 
-def test_sweep_decisions_match_full_panel(monkeypatch):
+def panel_sweep_case():
+    """A sweep with a few hundred borderline targets: basis, zeta, specs, threshold."""
     zeta = sample_stream(DistributionSpec(kind="uniform"), 410, seed=71)
     state = StateMatrix(np.random.default_rng(73).normal(size=(400, 6)))
-    basis = decompose(state)
-    family = PolynomialFamily(kind="legendre")
-    specs = enumerate_chaos(3, 10)
     threshold = ThresholdConfig(n_surrogates=40, significance_pct=10.0, factor=1.0, seed=7)
+    return decompose(state), zeta, enumerate_chaos(3, 10), threshold
+
+
+def test_sweep_decisions_match_full_panel(monkeypatch):
+    basis, zeta, specs, threshold = panel_sweep_case()
+    family = PolynomialFamily(kind="legendre")
     flushes = []
 
     def recording_panel(basis, perm, phis, raws, threshold):
@@ -528,6 +537,98 @@ def test_sweep_decisions_match_full_panel(monkeypatch):
         phi = literal_target(by_label[e.spec], family, zeta, 11, 400)[None, :]
         expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
         assert (e.thresholded_capacity != 0.0) == expected, e.spec
+
+
+def test_sweep_decisions_do_not_depend_on_panel_thread_timing(monkeypatch):
+    # three-row flushes that each sleep 5 ms keep the panel thread behind the
+    # sweeping thread, so many jobs wait in its queue at once; a short switch
+    # interval interleaves the two threads finely
+    basis, zeta, specs, threshold = panel_sweep_case()
+    family = PolynomialFamily(kind="legendre")
+    flushes = []
+
+    def slow_panel(basis, perm, phis, raws, threshold):
+        flushes.append(len(raws))
+        time.sleep(0.005)
+        return _panel_keep(basis, perm, phis, raws, threshold)
+
+    monkeypatch.setattr("ipcap.capacity._PANEL_ROWS", 3)
+    monkeypatch.setattr("ipcap.capacity._panel_keep", slow_panel)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = [capacity_sweep(basis, specs, family, zeta, threshold=threshold, batch=32) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(flushes) == 3 and len(flushes) > 3 * 20
+    for report in reports[1:]:
+        assert report.entries == reports[0].entries
+        assert report.skipped == reports[0].skipped
+    perms, _, _ = panel_draws(threshold, basis.T)
+    by_label = {spec.label(): spec for spec in specs}
+    for e in reports[0].entries:
+        phi = literal_target(by_label[e.spec], family, zeta, 11, 400)[None, :]
+        expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
+        assert (e.thresholded_capacity != 0.0) == expected, e.spec
+
+
+def test_sweep_starts_the_panel_thread_only_with_a_threshold(monkeypatch):
+    basis, zeta, specs, threshold = panel_sweep_case()
+    family = PolynomialFamily(kind="legendre")
+    started = []
+    real_worker = ipcap.capacity._panel_worker
+
+    def recording_worker(*args):
+        started.append(threading.current_thread().name)
+        real_worker(*args)
+
+    monkeypatch.setattr("ipcap.capacity._panel_worker", recording_worker)
+    capacity_sweep(basis, specs, family, zeta)
+    assert started == []
+    capacity_sweep(basis, specs, family, zeta, threshold=threshold)
+    assert started == ["ipcap-panel"]
+
+
+@pytest.mark.parametrize(
+    "name, calls, exc",
+    [
+        ("ipcap.capacity._panel_keep", 2, MemoryError("panel")),  # panel thread, in a flush
+        ("ipcap.polychaos._fill_product", 10, MemoryError("refill")),  # panel thread, in a refill
+        ("ipcap.capacity._fill_product", 200, RuntimeError("tile")),  # sweeping thread
+        ("ipcap.capacity._fill_product", 200, KeyboardInterrupt()),  # sweeping thread
+    ],
+)
+def test_sweep_failure_joins_the_panel_thread(monkeypatch, name, calls, exc):
+    basis, zeta, specs, threshold = panel_sweep_case()
+    family = PolynomialFamily(kind="legendre")
+    monkeypatch.setattr("ipcap.capacity._PANEL_ROWS", 3)
+    flushed = threading.Event()
+    real_panel = ipcap.capacity._panel_keep
+
+    def recording_panel(*args):
+        flushed.set()
+        return real_panel(*args)
+
+    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
+    module, attr = name.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), attr)
+    made = []
+
+    def failing(*args, **kwargs):
+        made.append(None)
+        if len(made) > calls:
+            # raise only once the panel thread has had work
+            flushed.wait(timeout=10.0)
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(name, failing)
+    before = threading.active_count()
+    with pytest.raises(type(exc)) as raised:
+        capacity_sweep(basis, specs, family, zeta, threshold=threshold, batch=32)
+    assert raised.value is exc and flushed.is_set()
+    assert threading.active_count() == before
+    assert not any(t.name == "ipcap-panel" for t in threading.enumerate())
 
 
 def test_sweep_requires_specs():
