@@ -31,7 +31,7 @@ class DegenerateTargetError(ValueError):
 
 
 class DegeneracyError(ValueError):
-    """Gram-Schmidt hit a numerically dependent degree."""
+    """The fitted basis has a degree that vanishes on the samples (too few distinct values)."""
 
     def __init__(self, degree: int, message: str | None = None):
         self.degree = degree

@@ -1,14 +1,17 @@
 """Orthogonal polynomial families, chaos enumeration, and target series.
 
-Univariate families are the eight classical ones plus a data-driven
-Gram-Schmidt basis. A chaos target is a product of such polynomials at
-distinct input delays, optionally multiplied by a cos/sin time factor, and is
-always normalized to unit Euclidean norm over its window.
+Univariate families are the eight classical ones plus a data-driven basis
+(kind gram_schmidt) fitted to the input sample by the Stieltjes procedure; one
+loop evaluates each by its three-term recurrence (Xiu & Karniadakis 2002). A
+chaos target is a product of such polynomials at distinct input delays,
+optionally multiplied by a cos/sin time factor, and is always normalized to
+unit Euclidean norm over its window.
 """
 
 from __future__ import annotations
 
 import math
+from math import inf
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations_with_replacement
@@ -23,30 +26,6 @@ from .errors import (
     WindowError,
 )
 
-FAMILY_KINDS = (
-    "hermite",
-    "laguerre",
-    "jacobi",
-    "legendre",
-    "charlier",
-    "krawtchouk",
-    "meixner",
-    "hahn",
-    "gram_schmidt",
-)
-
-_DEFAULT_PARAMS: dict[str, dict] = {
-    "hermite": {},
-    "laguerre": {"alpha": 1.0},
-    "jacobi": {"alpha": -0.25, "beta": -0.25},
-    "legendre": {},
-    "charlier": {"a": 6.0},
-    "krawtchouk": {"p": 0.5, "n": 10},
-    "meixner": {"c": 0.2, "beta": 10.0},
-    "hahn": {"alpha": -101.0, "beta": -51.0, "n": 20},
-    "gram_schmidt": {},
-}
-
 DEFAULT_MAX_DEGREE = 12
 
 
@@ -54,211 +33,159 @@ DEFAULT_MAX_DEGREE = 12
 class PolynomialFamily:
     """A univariate orthogonal family with its parameters.
 
-    For gram_schmidt the triangular table gs_coeffs[n, i] holds the projection
-    coefficients such that psi_n(z) = z^n - sum_{i<n} gs_coeffs[n, i] psi_i(z),
-    with psi_0 identically 1.
+    Parameters are checked against the family's weight (for example Laguerre
+    alpha > -1, Krawtchouk 0 < p < 1 and integer n >= 1). For gram_schmidt the
+    (max_degree, 2) table recurrence holds the monic coefficients
+    (alpha_n, beta_n) of p_{n+1}(z) = (z - alpha_n) p_n(z) - beta_n p_{n-1}(z),
+    with p_0 = 1 and p_{-1} = 0.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    gs_coeffs: np.ndarray | None = None
+    recurrence: np.ndarray | None = None
     max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"kind: unknown polynomial family {self.kind!r}")
-        merged = dict(_DEFAULT_PARAMS[self.kind])
-        unknown = set(self.params) - set(merged)
-        if unknown:
-            raise ParameterError(f"params: unknown parameter(s) {sorted(unknown)} for {self.kind}")
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
+        if not isinstance(self.params, dict):
+            raise ParameterError(f"params: expected a mapping, got {self.params!r}")
+        bounds = _FAMILIES[self.kind][1]
+        for name, value in self.params.items():
+            if name not in bounds:
+                raise ParameterError(f"params: unknown parameter {name!r} for {self.kind}")
+            default, low, high = bounds[name]
+            number = int if isinstance(default, int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, number) or not low < value < high:
+                want = "an integer" if number is int else "a number"
+                raise ParameterError(
+                    f"{self.kind}.{name}: expected {want} in ({low}, {high}), got {value!r}"
+                )
+        defaults = {name: default for name, (default, _, _) in bounds.items()}
+        object.__setattr__(self, "params", {**defaults, **self.params})
         if self.kind == "gram_schmidt":
-            if self.gs_coeffs is None:
-                raise ParameterError("gs_coeffs: required for gram_schmidt families")
-            c = np.asarray(self.gs_coeffs, dtype=float)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ParameterError("gs_coeffs: must be a square triangular table")
-            object.__setattr__(self, "gs_coeffs", c)
-            object.__setattr__(self, "max_degree", c.shape[0] - 1)
+            r = np.asarray(self.recurrence, dtype=float)
+            if r.ndim != 2 or r.shape[1] != 2:
+                raise ParameterError("recurrence: gram_schmidt needs a table of (alpha_n, beta_n)")
+            object.__setattr__(self, "recurrence", r)
+            object.__setattr__(self, "max_degree", r.shape[0])
 
 
-def _gen_binom(a: float, k: int) -> float:
-    """Generalized binomial coefficient C(a, k) for real a, integer k >= 0."""
-    out = 1.0
-    for j in range(k):
-        out *= (a - j) / (j + 1)
-    return out
+# (A_n, B_n, C_n) of each family, in the standardisation used throughout:
+# probabilists' Hermite; Laguerre L_n^(alpha), Jacobi P_n^(alpha, beta) and
+# Legendre P_n as in Abramowitz & Stegun 22; monic Charlier; Krawtchouk as the
+# coefficient of w^n in (1 - p w)^(n - z) (1 + (1 - p) w)^z; Meixner and Hahn
+# scaled to p_n(0) = 1. C_0 multiplies p_{-1} = 0.
 
 
-def _falling_table(z: np.ndarray, max_k: int) -> np.ndarray:
-    """ff[:, k] = z (z-1) ... (z-k+1), with ff[:, 0] = 1."""
-    ff = np.empty((z.size, max_k + 1))
-    ff[:, 0] = 1.0
-    for k in range(1, max_k + 1):
-        ff[:, k] = ff[:, k - 1] * (z - (k - 1))
-    return ff
+def _hermite(n, f):
+    return 1.0, 0.0, float(n)
 
 
-def _table_hermite(z, d, p):
-    t = np.empty((z.size, d + 1))
-    t[:, 0] = 1.0
-    if d >= 1:
-        t[:, 1] = z
-    for n in range(1, d):
-        t[:, n + 1] = z * t[:, n] - n * t[:, n - 1]
-    return t
+def _laguerre(n, f):
+    a = f.params["alpha"]
+    return -1.0 / (n + 1), (2 * n + 1 + a) / (n + 1), (n + a) / (n + 1)
 
 
-def _table_laguerre(z, d, p):
-    a = p["alpha"]
-    t = np.empty((z.size, d + 1))
-    powers = np.empty((z.size, d + 1))
-    powers[:, 0] = 1.0
-    for i in range(1, d + 1):
-        powers[:, i] = powers[:, i - 1] * z
-    for n in range(d + 1):
-        acc = np.zeros(z.size)
-        for i in range(n + 1):
-            acc += (-1.0) ** i * _gen_binom(n + a, n - i) / math.factorial(i) * powers[:, i]
-        t[:, n] = acc
-    return t
+def _jacobi(n, f):
+    a, b = f.params["alpha"], f.params["beta"]
+    if n == 0:
+        return (a + b + 2.0) / 2.0, (a - b) / 2.0, 0.0
+    g = 2.0 * n + a + b
+    den = 2.0 * (n + 1.0) * (g - n + 1.0) * g
+    A = (g + 1.0) * g * (g + 2.0)
+    return A / den, (g + 1.0) * (a * a - b * b) / den, 2.0 * (n + a) * (n + b) * (g + 2.0) / den
 
 
-def _table_jacobi(z, d, p):
-    a, b = p["alpha"], p["beta"]
-    t = np.empty((z.size, d + 1))
-    t[:, 0] = 1.0
-    if d >= 1:
-        t[:, 1] = ((a + b + 2.0) * z + (a - b)) / 2.0
-    for n in range(1, d):
-        g = 2.0 * n + a + b
-        num1 = (g + 1.0) * (g * (g + 2.0) * z + a * a - b * b)
-        num2 = 2.0 * (n + a) * (n + b) * (g + 2.0)
-        den = 2.0 * (n + 1.0) * (g - n + 1.0) * g
-        t[:, n + 1] = (num1 * t[:, n] - num2 * t[:, n - 1]) / den
-    return t
+def _legendre(n, f):
+    return (2 * n + 1) / (n + 1), 0.0, n / (n + 1)
 
 
-def _table_legendre(z, d, p):
-    t = np.empty((z.size, d + 1))
-    powers = np.empty((z.size, d + 1))
-    powers[:, 0] = 1.0
-    for i in range(1, d + 1):
-        powers[:, i] = powers[:, i - 1] * z
-    for n in range(d + 1):
-        acc = np.zeros(z.size)
-        for k in range(n // 2 + 1):
-            coef = (-1.0) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) / 2.0**n
-            acc += coef * powers[:, n - 2 * k]
-        t[:, n] = acc
-    return t
+def _charlier(n, f):
+    a = f.params["a"]
+    return 1.0, -(n + a), a * n
 
 
-def _table_charlier(z, d, p):
-    a = p["a"]
-    ff = _falling_table(z, d)
-    t = np.empty((z.size, d + 1))
-    for n in range(d + 1):
-        acc = np.zeros(z.size)
-        for i in range(n + 1):
-            acc += math.comb(n, i) * ff[:, i] * (-a) ** (n - i)
-        t[:, n] = acc
-    return t
+def _krawtchouk(n, f):
+    p, N = f.params["p"], f.params["n"]
+    B = -(p * N + (1.0 - 2.0 * p) * n)
+    return 1.0 / (n + 1), B / (n + 1), p * (1.0 - p) * (N - n + 1) / (n + 1)
 
 
-def _table_krawtchouk(z, d, p):
-    q, N = p["p"], int(p["n"])
-    ff_z = _falling_table(z, d)
-    ff_nz = _falling_table(N - z, d)
-    t = np.empty((z.size, d + 1))
-    for n in range(d + 1):
-        acc = np.zeros(z.size)
-        for i in range(n + 1):
-            c1 = ff_nz[:, n - i] / math.factorial(n - i)
-            c2 = ff_z[:, i] / math.factorial(i)
-            acc += (-1.0) ** (n - i) * c1 * c2 * q ** (n - i) * (1.0 - q) ** i
-        t[:, n] = acc
-    return t
+def _meixner(n, f):
+    c, b = f.params["c"], f.params["beta"]
+    den = c * (n + b)
+    return (c - 1.0) / den, (n + den) / den, n / den
 
 
-def _table_meixner(z, d, p):
-    c, b = p["c"], p["beta"]
-    t = np.empty((z.size, d + 1))
-    t[:, 0] = 1.0
-    if d >= 1:
-        t[:, 1] = ((c - 1.0) * z + c * b) / (c * b)
-    for n in range(1, d):
-        t[:, n + 1] = (((c - 1.0) * z + n + c * (n + b)) * t[:, n] - n * t[:, n - 1]) / (
-            c * (n + b)
-        )
-    return t
+def _hahn(n, f):
+    a, b, N = f.params["alpha"], f.params["beta"], f.params["n"]
+    g = 2.0 * n + a + b
+    A = (n + a + b + 1.0) * (n + a + 1.0) * (N - n) / ((g + 1.0) * (g + 2.0))
+    C = n * (n + a + b + N + 1.0) * (n + b) / (g * (g + 1.0)) if n else 0.0
+    if A == 0.0:
+        raise ParameterError(f"degree: hahn recurrence degenerate at degree {n + 1}")
+    return -1.0 / A, (A + C) / A, C / A
 
 
-def _table_hahn(z, d, p):
-    a, b, N = p["alpha"], p["beta"], int(p["n"])
-    t = np.empty((z.size, d + 1))
-    t[:, 0] = 1.0
-    prev = np.zeros(z.size)
-    for n in range(d):
-        A = (n + a + b + 1.0) * (n + a + 1.0) * (N - n) / (
-            (2.0 * n + a + b + 1.0) * (2.0 * n + a + b + 2.0)
-        )
-        C = n * (n + a + b + N + 1.0) * (n + b) / (
-            (2.0 * n + a + b) * (2.0 * n + a + b + 1.0)
-        ) if n > 0 else 0.0
-        if A == 0.0:
-            raise ParameterError(f"degree: hahn recurrence degenerate at degree {n + 1}")
-        cur = t[:, n]
-        t[:, n + 1] = ((A + C - z) / A) * cur - (C / A) * prev
-        prev = cur
-    return t
+def _gram_schmidt(n, f):
+    alpha, beta = f.recurrence[n]
+    return 1.0, -alpha, beta
 
 
-def _table_gram_schmidt(z, d, family: PolynomialFamily):
-    coeffs = family.gs_coeffs
-    t = np.empty((z.size, d + 1))
-    t[:, 0] = 1.0
-    zp = np.ones(z.size)
-    for n in range(1, d + 1):
-        zp = zp * z
-        t[:, n] = zp - t[:, :n] @ coeffs[n, :n]
-    return t
-
-
-_TABLES = {
-    "hermite": _table_hermite,
-    "laguerre": _table_laguerre,
-    "jacobi": _table_jacobi,
-    "legendre": _table_legendre,
-    "charlier": _table_charlier,
-    "krawtchouk": _table_krawtchouk,
-    "meixner": _table_meixner,
-    "hahn": _table_hahn,
+# kind -> (recurrence, {parameter: (default, lower bound, upper bound)}), bounds
+# exclusive; an integer default makes the parameter integral. Hahn is checked
+# by type only: its hypergeometric parametrisation takes negative alpha, beta.
+_FAMILIES = {
+    "hermite": (_hermite, {}),
+    "laguerre": (_laguerre, {"alpha": (1.0, -1.0, inf)}),
+    "jacobi": (_jacobi, {"alpha": (-0.25, -1.0, inf), "beta": (-0.25, -1.0, inf)}),
+    "legendre": (_legendre, {}),
+    "charlier": (_charlier, {"a": (6.0, 0.0, inf)}),
+    "krawtchouk": (_krawtchouk, {"p": (0.5, 0.0, 1.0), "n": (10, 0, inf)}),
+    "meixner": (_meixner, {"c": (0.2, 0.0, 1.0), "beta": (10.0, 0.0, inf)}),
+    "hahn": (_hahn, {"alpha": (-101.0, -inf, inf), "beta": (-51.0, -inf, inf), "n": (20, 0, inf)}),
+    "gram_schmidt": (_gram_schmidt, {}),
 }
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 def eval_table(family: PolynomialFamily, zeta: np.ndarray, max_degree: int) -> np.ndarray:
-    """Values F_n(zeta_t) for all degrees n = 0..max_degree, shape (T, max_degree+1)."""
+    """Values F_n(zeta_t) for all degrees n = 0..max_degree, shape (T, max_degree+1).
+
+    The table is built degree-major, so the returned array is the transpose
+    of a C-contiguous (max_degree+1, T) array.
+    """
     if max_degree < 0:
         raise ParameterError(f"degree: must be >= 0, got {max_degree}")
     if max_degree > family.max_degree:
-        raise ParameterError(
-            f"degree: {max_degree} exceeds family max degree {family.max_degree}"
-        )
+        raise ParameterError(f"degree: {max_degree} exceeds family max degree {family.max_degree}")
     z = np.asarray(zeta, dtype=float).ravel()
-    if family.kind == "gram_schmidt":
-        return _table_gram_schmidt(z, max_degree, family)
-    return _TABLES[family.kind](z, max_degree, family.params)
+    coefficients = _FAMILIES[family.kind][0]
+    t = np.empty((max_degree + 1, z.size))
+    t[0] = 1.0
+    prev = np.zeros(z.size)
+    for n in range(max_degree):
+        a, b, c = coefficients(n, family)
+        t[n + 1] = (a * z + b) * t[n] - c * prev
+        prev = t[n]
+    if family.kind == "krawtchouk":
+        # degrees above n vanish exactly on the support {0, .., n}, where the
+        # recurrence leaves rounding residue
+        N = family.params["n"]
+        t[N + 1 :, (z == np.round(z)) & (z >= 0) & (z <= N)] = 0.0
+    return t.T
 
 
 def fit_gram_schmidt(samples: np.ndarray, max_degree: int) -> PolynomialFamily:
-    """Build a data-driven orthogonal basis on the given samples.
+    """Fit the monic orthogonal basis of the samples' empirical law by Stieltjes.
 
-    Modified Gram-Schmidt with a second re-projection pass; the accumulated
-    coefficients are stored so the basis can be evaluated on new points. The
-    classical single-pass projection formula is equivalent in exact arithmetic
-    but loses orthogonality at high degree.
+    Step n takes alpha_n = <z p_n, p_n> / <p_n, p_n> and beta_n = <p_n, p_n> /
+    <p_{n-1}, p_{n-1}> (Gautschi 2004); one re-orthogonalisation
+    pass adds the remainder's projections on p_n and p_{n-1} to them. p_{n+1}
+    is computed as eval_table computes it, so later sums run over the basis the
+    sweep reads. DegeneracyError names the first degree that vanishes on the
+    samples, relative to z p_n.
     """
     x = np.asarray(samples, dtype=float).ravel()
     T = x.size
@@ -266,28 +193,21 @@ def fit_gram_schmidt(samples: np.ndarray, max_degree: int) -> PolynomialFamily:
         raise ParameterError(f"max_degree: must be >= 1, got {max_degree}")
     if T <= max_degree:
         raise ParameterError(f"samples: need more than {max_degree} samples, got {T}")
-    psi = np.empty((T, max_degree + 1))
-    psi[:, 0] = 1.0
-    coeffs = np.zeros((max_degree + 1, max_degree + 1))
-    zp = np.ones(T)
-    norms_sq = np.empty(max_degree + 1)
-    norms_sq[0] = float(T)
-    for n in range(1, max_degree + 1):
-        zp = zp * x
-        v = zp.copy()
-        raw_norm = float(np.linalg.norm(v))
-        w = v.copy()
-        for _ in range(2):
-            for i in range(n):
-                c = float(psi[:, i] @ w) / norms_sq[i]
-                w -= c * psi[:, i]
-                coeffs[n, i] += c
-        res_norm = float(np.linalg.norm(w))
-        if raw_norm == 0.0 or res_norm <= 1e-12 * raw_norm:
-            raise DegeneracyError(n)
-        psi[:, n] = w
-        norms_sq[n] = res_norm**2
-    return PolynomialFamily(kind="gram_schmidt", gs_coeffs=coeffs)
+    recurrence = np.empty((max_degree, 2))
+    prev, cur = np.zeros(T), np.ones(T)
+    prev_sq, cur_sq = inf, float(T)
+    for n in range(max_degree):
+        xp = x * cur
+        alpha, beta = float(xp @ cur) / cur_sq, cur_sq / prev_sq
+        rest = xp - alpha * cur - beta * prev
+        alpha += float(rest @ cur) / cur_sq
+        beta += float(rest @ prev) / prev_sq
+        recurrence[n] = alpha, beta
+        prev, cur = cur, (x - alpha) * cur - beta * prev
+        prev_sq, cur_sq = cur_sq, float(cur @ cur)
+        if not math.sqrt(cur_sq) > 1e-12 * float(np.linalg.norm(xp)):
+            raise DegeneracyError(n + 1)
+    return PolynomialFamily(kind="gram_schmidt", recurrence=recurrence)
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,16 @@ _KINDS = ("ipc", "tipc", "narma_suite")
 # value types by key name, in whichever block the key appears
 _INT_KEYS = {
     "T", "seed", "washout", "n_nodes", "weight_seed", "n_surrogates", "count", "n_seeds", "horizon",
-    "a_count", "b_count", "max_steps", "M", "n_exponents", "trace_len",
+    "a_count", "b_count", "max_steps", "M", "n_exponents", "trace_len", "fit_degree",
+    "max_degree_per_var", "detrend_harmonics",
 }
 _REAL_KEYS = {
     "mu", "kappa", "rho", "spectral_radius", "input_intensity", "leak", "alpha", "beta", "gamma",
     "delta", "omega", "tau", "significance_pct", "factor", "sigma", "z10", "w1_min", "w1_max",
-    "a_min", "a_max", "b_min", "b_max", "train_frac",
+    "a_min", "a_max", "b_min", "b_max", "train_frac", "rank_tol",
 }
-# integer keys that must be >= 0, in whichever block the key appears
-_NONNEGATIVE_KEYS = {"seed", "weight_seed", "washout"}
+# lower bounds of integer keys, in whichever block the key appears
+_MINIMUM = {"seed": 0, "weight_seed": 0, "washout": 0, "detrend_harmonics": 0, "fit_degree": 1}
 # list-valued keys and the kind of their entries, in whichever block the key appears
 _LIST_KEYS = {
     "sigmas": "numbers", "rhos": "numbers", "n1": "integers", "n2": "integers",
@@ -130,8 +131,8 @@ def _check_keys(block: str, payload, allowed) -> None:
         if (integral or key in _REAL_KEYS) and not _is_number(value, integral):
             kind = "an integer" if integral else "a number"
             raise ConfigError(f"{block}.{key}: expected {kind}, got {value!r}")
-        if key in _NONNEGATIVE_KEYS and value < 0:
-            raise ConfigError(f"{block}.{key}: must be >= 0, got {value!r}")
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            raise ConfigError(f"{block}.{key}: must be >= {_MINIMUM[key]}, got {value!r}")
         kind = _LIST_KEYS.get(key)
         if kind and not (
             isinstance(value, (list, tuple)) and all(_is_entry(v, kind) for v in value)
@@ -195,6 +196,13 @@ class ExperimentConfig:
                 raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
             if "family" not in sweep:
                 raise ConfigError("sweep.family: required for capacity experiments")
+            family = sweep["family"]
+            _check_keys("sweep.family", family, {"kind", "params"})
+            if family.get("kind") == "gram_schmidt":
+                # fitted to the input stream at run time; it takes no parameters
+                _check_keys("sweep.family.params", family.get("params", {}), set())
+            else:
+                PolynomialFamily(kind=family.get("kind"), params=family.get("params", {}))
             blocks = sweep.get("degree_blocks")
             if not blocks or not isinstance(blocks, (list, tuple)):
                 raise ConfigError(
@@ -576,11 +584,7 @@ def _sweep_specs(sweep: dict) -> list[ChaosSpec]:
 def _family_and_stream(sweep: dict, zeta: np.ndarray, u: np.ndarray):
     fam = sweep["family"]
     if fam["kind"] == "gram_schmidt":
-        fit_degree = int(
-            fam.get("params", {}).get("max_degree")
-            or sweep.get("fit_degree")
-            or max(d for d, _ in sweep["degree_blocks"])
-        )
+        fit_degree = sweep.get("fit_degree", max(d for d, _ in sweep["degree_blocks"]))
         # data-driven basis is built on the shaped input actually driving
         # the system; targets then read the same stream
         return fit_gram_schmidt(u, fit_degree), u

@@ -296,6 +296,9 @@ def capacity_config_text(**blocks):
     return json.dumps(payload)
 
 
+gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 2]]}
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -322,12 +325,34 @@ def capacity_config_text(**blocks):
                 {"kind": "narma_suite", "analysis": {"divergence": {"sigmas": [0.3], "seed": -2}}}
             ),
         ),
+        ("ipc", capacity_config_text(sweep={"family": "gram_schmidt", "degree_blocks": [[1, 2]]})),
+        ("ipc", capacity_config_text(sweep={"family": {"params": {}}, "degree_blocks": [[1, 2]]})),
+        *[
+            ("ipc", capacity_config_text(sweep={"family": family, "degree_blocks": [[1, 2]]}))
+            for family in (
+                {"kind": "laguerre", "params": {"alpha": "x"}},
+                {"kind": "krawtchouk", "params": {"n": 2.5}},
+                {"kind": "jacobi", "params": {"alpha": -3.0}},
+                {"kind": "gram_schmidt", "params": {"max_degree": "q"}},
+            )
+        ],
+        *[
+            ("tipc", capacity_config_text(kind="tipc", sweep={**gram_schmidt_sweep, key: value}))
+            for key, value in (
+                ("fit_degree", 0), ("fit_degree", "a"), ("max_degree_per_var", "a"),
+                ("detrend_harmonics", "a"), ("detrend_harmonics", -1), ("rank_tol", "a"),
+            )
+        ],
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
         "degree_blocks_scalar", "sigmas_scalar", "distribution_param_type",
         "threshold_seed_negative", "input_seed_negative", "washout_negative",
-        "weight_seed_negative", "analysis_seed_negative",
+        "weight_seed_negative", "analysis_seed_negative", "family_not_mapping", "family_no_kind",
+        "laguerre_alpha_type", "krawtchouk_n_fraction", "jacobi_alpha_range",
+        "gram_schmidt_max_degree_alias", "fit_degree_zero", "fit_degree_type",
+        "max_degree_per_var_type", "detrend_harmonics_type", "detrend_harmonics_negative",
+        "rank_tol_type",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):

@@ -1,6 +1,7 @@
 """Polynomial family values, Gram-Schmidt fitting, enumeration, and targets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ipcap import (
     DegeneracyError,
     DegenerateTargetError,
     DistributionSpec,
+    InputShaping,
     ParameterError,
     PolynomialFamily,
     ShapeError,
@@ -18,7 +20,10 @@ from ipcap import (
     enumerate_chaos,
     eval_table,
     fit_gram_schmidt,
+    get_preset,
+    preset_names,
     sample_stream,
+    shape_input,
 )
 
 
@@ -72,6 +77,28 @@ def test_unknown_family_rejected():
         PolynomialFamily(kind="chebyshev")
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("laguerre", {"alpha": -1.0}),
+        ("jacobi", {"beta": -1.5}),
+        ("charlier", {"a": 0.0}),
+        ("krawtchouk", {"p": 1.0}),
+        ("krawtchouk", {"n": 0}),
+        ("krawtchouk", {"n": 2.5}),
+        ("meixner", {"c": 1.0}),
+        ("meixner", {"beta": 0.0}),
+        ("hahn", {"n": 20.0}),
+        ("hahn", {"alpha": "x"}),
+        ("hermite", {"alpha": 1.0}),
+        ("legendre", []),
+    ],
+)
+def test_family_parameters_checked_against_weight(kind, params):
+    with pytest.raises(ParameterError):
+        PolynomialFamily(kind=kind, params=params)
+
+
 def test_eval_table_matches_univariate():
     family = PolynomialFamily(kind="hermite")
     grid = np.linspace(-2.0, 2.0, 9)
@@ -85,20 +112,39 @@ def test_eval_table_matches_univariate():
 def test_gram_schmidt_uniform_degree_two_coefficients():
     samples = sample_stream(DistributionSpec(kind="uniform"), 100_000, seed=5)
     family = fit_gram_schmidt(samples, 2)
-    # psi2 = z^2 - c20 - c21 psi1 with exact uniform moments c20 = 1/3, c21 = 0
-    assert family.gs_coeffs[2, 0] == pytest.approx(1.0 / 3.0, abs=0.01)
-    assert family.gs_coeffs[2, 1] == pytest.approx(0.0, abs=0.01)
-    assert family.gs_coeffs[1, 0] == pytest.approx(0.0, abs=0.01)
+    # psi1 = z - alpha0 and psi2 = (z - alpha1) psi1 - beta1 psi0 = z^2 - 1/3 for the
+    # exact uniform moments alpha0 = alpha1 = 0, beta1 = E[z^2] = 1/3
+    (alpha0, _), (alpha1, beta1) = family.recurrence
+    assert alpha0 == pytest.approx(0.0, abs=0.01)
+    assert alpha1 == pytest.approx(0.0, abs=0.01)
+    assert beta1 == pytest.approx(1.0 / 3.0, abs=0.01)
 
 
-def test_gram_schmidt_empirical_orthogonality():
-    samples = sample_stream(DistributionSpec(kind="uniform"), 20_000, seed=9)
-    family = fit_gram_schmidt(samples, 8)
-    table = eval_table(family, samples, 8)
+def preset_stream(name, shaped=False):
+    """The full input stream of a bundled preset, washout included."""
+    inp = get_preset(name).input
+    spec = DistributionSpec(**inp["distribution"])
+    zeta = sample_stream(spec, inp["washout"] + inp["T"], inp["seed"])
+    return shape_input(zeta, InputShaping(**inp["shaping"])) if shaped else zeta
+
+
+@pytest.mark.parametrize(
+    "samples, degree, bound",
+    [
+        (lambda: sample_stream(DistributionSpec(kind="uniform"), 20_000, seed=9), 8, 1e-8),
+        # the heavy-tailed stream the fig1a_pareto preset fits its basis to
+        (lambda: preset_stream("fig1a_pareto", shaped=True), 8, 1e-13),
+    ],
+    ids=["uniform", "fig1a_pareto"],
+)
+def test_gram_schmidt_empirical_orthogonality(samples, degree, bound):
+    samples = samples()
+    family = fit_gram_schmidt(samples, degree)
+    table = eval_table(family, samples, degree)
     norms = np.linalg.norm(table, axis=0)
     gram = table.T @ table
-    off = gram / np.outer(norms, norms) - np.eye(9)
-    assert np.max(np.abs(off)) <= 1e-8
+    off = gram / np.outer(norms, norms) - np.eye(degree + 1)
+    assert np.max(np.abs(off)) <= bound
 
 
 def classical_gram_schmidt_values(samples, max_degree):
@@ -156,6 +202,152 @@ def test_gram_schmidt_two_point_samples_degenerate_at_two():
 def test_gram_schmidt_needs_enough_samples():
     with pytest.raises(ParameterError, match="samples"):
         fit_gram_schmidt(np.arange(3.0), 3)
+
+
+def test_krawtchouk_vanishes_above_n_and_hahn_stops_at_n_plus_one():
+    params = {"p": 0.5, "n": 10}
+    samples = sample_stream(DistributionSpec(kind="binomial", params=params), 5000, seed=4)
+    table = eval_table(PolynomialFamily(kind="krawtchouk", params=params), samples, 12)
+    assert np.all(table[:, 11:] == 0.0)
+    with pytest.raises(ParameterError, match="degree 6"):
+        eval_table(PolynomialFamily(kind="hahn", params={"n": 5}), np.arange(6.0), 6)
+
+
+def falling(x, k):
+    out = Fraction(1)
+    for j in range(k):
+        out *= x - j
+    return out
+
+
+# Exact values of each family at a rational point z, degrees 0..d, from explicit
+# sums (legendre, laguerre, charlier, krawtchouk) or from the recurrence written
+# as (num1 p_n - num2 p_{n-1}) / den or ((A + C - z) / A) p_n - (C / A) p_{n-1}
+# (hermite, jacobi, meixner, hahn), so no coefficient is shared with eval_table.
+def exact_legendre(z, d, p):
+    return [
+        sum(
+            (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) * z ** (n - 2 * k)
+            for k in range(n // 2 + 1)
+        )
+        / Fraction(2) ** n
+        for n in range(d + 1)
+    ]
+
+
+def exact_laguerre(z, d, p):
+    a = p["alpha"]
+    return [
+        sum(
+            (-1) ** i * falling(n + a, n - i) / math.factorial(n - i) / math.factorial(i) * z**i
+            for i in range(n + 1)
+        )
+        for n in range(d + 1)
+    ]
+
+
+def exact_charlier(z, d, p):
+    a = p["a"]
+    return [
+        sum(math.comb(n, i) * falling(z, i) * (-a) ** (n - i) for i in range(n + 1))
+        for n in range(d + 1)
+    ]
+
+
+def exact_krawtchouk(z, d, p):
+    q, N = p["p"], p["n"]
+    return [
+        sum(
+            (-1) ** (n - i)
+            * falling(N - z, n - i) / math.factorial(n - i)
+            * falling(z, i) / math.factorial(i)
+            * q ** (n - i) * (1 - q) ** i
+            for i in range(n + 1)
+        )
+        for n in range(d + 1)
+    ]
+
+
+def exact_by_recurrence(step, first):
+    def values(z, d, p):
+        out = [Fraction(1), first(z, p)]
+        for n in range(1, d):
+            out.append(step(z, n, p, out[n], out[n - 1]))
+        return out[: d + 1]
+
+    return values
+
+
+def hermite_step(z, n, p, cur, prev):
+    return z * cur - n * prev
+
+
+def jacobi_step(z, n, p, cur, prev):
+    a, b = p["alpha"], p["beta"]
+    g = 2 * n + a + b
+    num1 = (g + 1) * (g * (g + 2) * z + a * a - b * b)
+    num2 = 2 * (n + a) * (n + b) * (g + 2)
+    return (num1 * cur - num2 * prev) / (2 * (n + 1) * (g - n + 1) * g)
+
+
+def meixner_step(z, n, p, cur, prev):
+    c, b = p["c"], p["beta"]
+    return (((c - 1) * z + n + c * (n + b)) * cur - n * prev) / (c * (n + b))
+
+
+def hahn_coefficients(n, p):
+    a, b, N = p["alpha"], p["beta"], p["n"]
+    A = (n + a + b + 1) * (n + a + 1) * (N - n) / ((2 * n + a + b + 1) * (2 * n + a + b + 2))
+    C = n * (n + a + b + N + 1) * (n + b) / ((2 * n + a + b) * (2 * n + a + b + 1)) if n else 0
+    return A, C
+
+
+def hahn_step(z, n, p, cur, prev):
+    A, C = hahn_coefficients(n, p)
+    return (A + C - z) / A * cur - C / A * prev
+
+
+EXACT = {
+    "legendre": exact_legendre,
+    "laguerre": exact_laguerre,
+    "charlier": exact_charlier,
+    "krawtchouk": exact_krawtchouk,
+    "hermite": exact_by_recurrence(hermite_step, lambda z, p: z),
+    "jacobi": exact_by_recurrence(
+        jacobi_step,
+        lambda z, p: ((p["alpha"] + p["beta"] + 2) * z + p["alpha"] - p["beta"]) / 2,
+    ),
+    "meixner": exact_by_recurrence(
+        meixner_step, lambda z, p: ((p["c"] - 1) * z + p["c"] * p["beta"]) / (p["c"] * p["beta"])
+    ),
+    "hahn": exact_by_recurrence(hahn_step, lambda z, p: hahn_step(z, 0, p, Fraction(1), 0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(EXACT))
+def test_eval_table_matches_exact_arithmetic(kind):
+    """Every classical family up to degree 12 on its matched preset's input sample.
+
+    The bound is relative to each column's RMS over the sample: for a discrete
+    law all distinct values weighted by their counts, for a continuous law 300
+    random draws. The 200 largest |z| of a continuous law are checked against
+    the same bound.
+    """
+    name = next(n for n in preset_names() if get_preset(n).sweep.get("family", {}).get("kind") == kind)
+    zeta = preset_stream(name)
+    points, weights = np.unique(zeta, return_counts=True)
+    if points.size > 1000:
+        rng = np.random.default_rng(0)
+        largest = zeta[np.argsort(np.abs(zeta))[-200:]]
+        points = np.concatenate([largest, rng.choice(zeta, 300, replace=False)])
+        weights = np.repeat([0, 1], [200, 300])
+    block = get_preset(name).sweep["family"]
+    family = PolynomialFamily(kind=kind, params=block.get("params", {}))
+    table = eval_table(family, points, 12)
+    params = {k: Fraction(v) for k, v in family.params.items()}
+    exact = np.array([[float(v) for v in EXACT[kind](Fraction(z), 12, params)] for z in points])
+    rms = np.sqrt(weights @ exact**2 / weights.sum())
+    assert np.all(np.abs(table - exact) <= 1e-12 * rms)
 
 
 def test_enumerate_small_set():
