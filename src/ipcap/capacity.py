@@ -19,7 +19,8 @@ targets and the shared surrogate panel decides the borderline ones. The
 panel projects its draws in chunks of up to max(1, 32 // rank) draws per
 GEMM and stops drawing for a target once its decision is fixed. A target's
 decision is its hit count over all draws, so neither the chunking nor the
-early stop can change it.
+early stop can change it. The panel compacts its pending rows in place as
+they are decided, so it holds no copy of them.
 
 A thresholded sweep runs the panel on one background thread, the only
 Python thread ipcap starts: borderline targets are queued to it while the
@@ -387,8 +388,9 @@ def _panel_keep(
     the chunking cannot change it. Shuffling the target by pi gives the same
     capacity as gathering the basis rows by pi^{-1}; gathering by the drawn
     permutation perm(i) instead samples the identical uniform ensemble, so the
-    basis is permuted once per draw for the whole batch. phis and raws are
-    not modified.
+    basis is permuted once per draw for the whole batch. phis is the
+    caller's scratch: it is compacted in place as rows are decided, so the
+    call allocates no copy of the rows. raws is not modified.
     """
     k = threshold.quantile_index()
     cap = _chunk_cap(basis.rank)
@@ -408,13 +410,9 @@ def _panel_keep(
         undecided = np.flatnonzero(hits[alive] < k)
         if undecided.size < alive.size:
             alive, raws = alive[undecided], raws[undecided]
-            if rows is phis:
-                # the one working copy; later shrinks compact it in place
-                rows = phis[undecided]
-            else:
-                for dst, src in enumerate(undecided):
-                    rows[dst] = rows[src]
-                rows = rows[: undecided.size]
+            for dst, src in enumerate(undecided):
+                rows[dst] = rows[src]
+            rows = rows[: undecided.size]
     return hits < k
 
 
@@ -433,7 +431,8 @@ def _panel_worker(
 
     Each job (spec, label, order, raw) is refilled at full length into the
     (_PANEL_ROWS, T) pending buffer, so the panel sees the one-pass row, and
-    every full buffer goes to _panel_keep. The thread owns the buffer and the
+    every full buffer goes to _panel_keep, which compacts it in place; the
+    next jobs refill it from the top. The thread owns the buffer and the
     permutations, drawn on first use and shared by every flush. None ends the
     jobs: the last rows are flushed and the thread returns. Once stop is set,
     it returns at its next job without deciding anything more. Decisions go

@@ -135,7 +135,8 @@ def _gram_schmidt(n, f):
 
 # kind -> (recurrence, {parameter: (default, lower bound, upper bound)}), bounds
 # exclusive; an integer default makes the parameter integral. Hahn is checked
-# by type only: its hypergeometric parametrisation takes negative alpha, beta.
+# by type only: its hypergeometric parametrisation takes negative alpha, beta,
+# and _recurrence rejects those that zero a denominator.
 _FAMILIES = {
     "hermite": (_hermite, {}),
     "laguerre": (_laguerre, {"alpha": (1.0, -1.0, inf)}),
@@ -150,23 +151,40 @@ _FAMILIES = {
 FAMILY_KINDS = tuple(_FAMILIES)
 
 
+def _recurrence(family: PolynomialFamily, max_degree: int) -> list[tuple[float, float, float]]:
+    """The (A_n, B_n, C_n) of the steps n = 0..max_degree-1 that reach max_degree.
+
+    Checked before any data exists: ParameterError when max_degree is out of
+    range or a step divides by zero (Hahn with 2n + alpha + beta in {0, -1, -2}).
+    """
+    if max_degree < 0:
+        raise ParameterError(f"degree: must be >= 0, got {max_degree}")
+    if max_degree > family.max_degree:
+        raise ParameterError(f"degree: {max_degree} exceeds family max degree {family.max_degree}")
+    coefficients = _FAMILIES[family.kind][0]
+    steps = []
+    for n in range(max_degree):
+        try:
+            steps.append(coefficients(n, family))
+        except ZeroDivisionError:
+            raise ParameterError(
+                f"{family.kind}: recurrence step to degree {n + 1} divides by zero with {family.params}"
+            ) from None
+    return steps
+
+
 def eval_table(family: PolynomialFamily, zeta: np.ndarray, max_degree: int) -> np.ndarray:
     """Values F_n(zeta_t) for all degrees n = 0..max_degree, shape (T, max_degree+1).
 
     The table is built degree-major, so the returned array is the transpose
     of a C-contiguous (max_degree+1, T) array.
     """
-    if max_degree < 0:
-        raise ParameterError(f"degree: must be >= 0, got {max_degree}")
-    if max_degree > family.max_degree:
-        raise ParameterError(f"degree: {max_degree} exceeds family max degree {family.max_degree}")
+    steps = _recurrence(family, max_degree)
     z = np.asarray(zeta, dtype=float).ravel()
-    coefficients = _FAMILIES[family.kind][0]
     t = np.empty((max_degree + 1, z.size))
     t[0] = 1.0
     prev = np.zeros(z.size)
-    for n in range(max_degree):
-        a, b, c = coefficients(n, family)
+    for n, (a, b, c) in enumerate(steps):
         t[n + 1] = (a * z + b) * t[n] - c * prev
         prev = t[n]
     if family.kind == "krawtchouk":

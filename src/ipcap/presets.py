@@ -19,6 +19,7 @@ from .capacity import (
     DEFAULT_WASHOUT,
     CapacityReport,
     StateMatrix,
+    SvdBasis,
     ThresholdConfig,
     capacity_sweep,
     decompose,
@@ -46,6 +47,7 @@ from .polychaos import (
     ChaosSpec,
     PolynomialFamily,
     _crossed,
+    _recurrence,
     enumerate_chaos,
     fit_gram_schmidt,
 )
@@ -105,7 +107,10 @@ _REAL_KEYS = {
     "a_min", "a_max", "b_min", "b_max", "train_frac", "rank_tol",
 }
 # lower bounds of integer keys, in whichever block the key appears
-_MINIMUM = {"seed": 0, "weight_seed": 0, "washout": 0, "detrend_harmonics": 0, "fit_degree": 1}
+_MINIMUM = {
+    "seed": 0, "weight_seed": 0, "washout": 0, "detrend_harmonics": 0, "fit_degree": 1,
+    "max_degree_per_var": 1,
+}
 # list-valued keys and the kind of their entries, in whichever block the key appears
 _LIST_KEYS = {
     "sigmas": "numbers", "rhos": "numbers", "n1": "integers", "n2": "integers",
@@ -196,13 +201,6 @@ class ExperimentConfig:
                 raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
             if "family" not in sweep:
                 raise ConfigError("sweep.family: required for capacity experiments")
-            family = sweep["family"]
-            _check_keys("sweep.family", family, {"kind", "params"})
-            if family.get("kind") == "gram_schmidt":
-                # fitted to the input stream at run time; it takes no parameters
-                _check_keys("sweep.family.params", family.get("params", {}), set())
-            else:
-                PolynomialFamily(kind=family.get("kind"), params=family.get("params", {}))
             blocks = sweep.get("degree_blocks")
             if not blocks or not isinstance(blocks, (list, tuple)):
                 raise ConfigError(
@@ -215,6 +213,23 @@ class ExperimentConfig:
                     and all(_is_number(v, integral=True) and v >= 1 for v in pair)
                 ):
                     raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
+            # the highest polynomial degree any target of the sweep evaluates
+            top = min(max(d for d, _ in blocks), sweep.get("max_degree_per_var", math.inf))
+            family = sweep["family"]
+            _check_keys("sweep.family", family, {"kind", "params"})
+            if family.get("kind") == "gram_schmidt":
+                # fitted to the input stream at run time; it takes no parameters
+                _check_keys("sweep.family.params", family.get("params", {}), set())
+                if sweep.get("fit_degree", top) < top:
+                    raise ConfigError(
+                        f"sweep.fit_degree: must be >= {top}, the top degree the sweep"
+                        f" evaluates, got {sweep['fit_degree']}"
+                    )
+            else:
+                _recurrence(
+                    PolynomialFamily(kind=family.get("kind"), params=family.get("params", {})),
+                    top,
+                )
         if kind == "narma_suite" and not analysis:
             raise ConfigError("analysis: required for narma_suite experiments")
         return cls(
@@ -591,6 +606,22 @@ def _family_and_stream(sweep: dict, zeta: np.ndarray, u: np.ndarray):
     return PolynomialFamily(kind=fam["kind"], params=fam.get("params", {})), zeta
 
 
+def _state_basis(
+    config: ExperimentConfig, zeta: np.ndarray, shaping: InputShaping, washout: int, tipc: bool
+) -> tuple[SvdBasis, list]:
+    """SVD basis of the detrended post-washout state, and the detrend components.
+
+    The trajectory and its detrended copy are freed on return, before the sweep.
+    """
+    full = _build_state(config.system, zeta, shaping)
+    state = StateMatrix(full.data[washout:], washout=washout, labels=full.labels, meta=full.meta)
+    harmonics = int(config.sweep.get("detrend_harmonics", 2)) if tipc else 0
+    state = detrend(state, harmonics)
+    rank_tol = config.sweep.get("rank_tol")
+    basis = decompose(state, float(rank_tol) if rank_tol is not None else None)
+    return basis, state.meta["detrend"]["components"]
+
+
 def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityReport:
     inp = config.input
     T = int(inp["T"])
@@ -599,12 +630,7 @@ def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityRepor
         washout = 0
     length = washout + T
     zeta, u, shaping = _input_stream(config, length)
-    full = _build_state(config.system, zeta, shaping)
-    state = StateMatrix(full.data[washout:], washout=washout, labels=full.labels, meta=full.meta)
-    harmonics = int(config.sweep.get("detrend_harmonics", 2)) if tipc else 0
-    state = detrend(state, harmonics)
-    rank_tol = config.sweep.get("rank_tol")
-    basis = decompose(state, float(rank_tol) if rank_tol is not None else None)
+    basis, components = _state_basis(config, zeta, shaping, washout, tipc)
     family, stream = _family_and_stream(config.sweep, zeta, u)
     specs = _sweep_specs(config.sweep)
     if tipc:
@@ -621,7 +647,7 @@ def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityRepor
         "family": config.sweep["family"]["kind"],
     }
     if tipc:
-        meta["detrend"] = state.meta.get("detrend", {}).get("components", [])
+        meta["detrend"] = components
     report = capacity_sweep(basis, specs, family, stream, threshold=threshold, meta=meta)
     base = config.output.get("basename", config.name)
     outdir = Path(outdir)

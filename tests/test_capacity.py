@@ -409,7 +409,7 @@ def test_panel_early_exit_matches_full_panel(pct):
         phis /= np.linalg.norm(phis, axis=1, keepdims=True)
         raws = panel_raws(basis, phis)
         perms, perm, _ = panel_draws(threshold, T)
-        keep = _panel_keep(basis, perm, phis, raws, threshold)
+        keep = _panel_keep(basis, perm, phis.copy(), raws, threshold)
         assert keep.tolist() == full_panel_keep(basis, perms, phis, raws, threshold).tolist()
         if basis.rank == 4:
             assert 0 < keep.sum() < len(keep)
@@ -431,7 +431,7 @@ def test_panel_exact_tie_is_rejected_after_k_draws():
     raws = panel_raws(basis, phis)
     assert (raws == r / 16).all()
     perms, perm, used = panel_draws(threshold, 16)
-    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    keep = _panel_keep(basis, perm, phis.copy(), raws, threshold)
     assert not keep.any()
     assert not full_panel_keep(basis, perms, phis, raws, threshold).any()
     assert used == [0, 1]
@@ -444,7 +444,7 @@ def test_panel_runs_every_draw_when_all_targets_are_kept():
     phis = np.ascontiguousarray(basis.P.T)
     raws = panel_raws(basis, phis)
     perms, perm, used = panel_draws(threshold, T)
-    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    keep = _panel_keep(basis, perm, phis.copy(), raws, threshold)
     assert keep.all()
     assert full_panel_keep(basis, perms, phis, raws, threshold).all()
     assert used == list(range(threshold.n_surrogates))
@@ -472,7 +472,7 @@ def test_chunked_panel_matches_full_panel(rank, rows, n, pct):
     assert basis.rank == rank
     raws = panel_raws(basis, phis)
     perms, perm, used = panel_draws(threshold, basis.T)
-    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    keep = _panel_keep(basis, perm, phis.copy(), raws, threshold)
     assert keep.tolist() == full_panel_keep(basis, perms, phis, raws, threshold).tolist()
     assert 0 < keep.sum() < rows
     # every draw is requested once, in stream order, and all of them for a kept row
@@ -493,22 +493,32 @@ def test_panel_exact_tie_at_rank_one_is_rejected_at_kth_hit():
     raws = panel_raws(basis, phis)
     assert (raws == 1 / 16).all()
     perms, perm, used = panel_draws(threshold, 16)
-    keep = _panel_keep(basis, perm, phis, raws, threshold)
+    keep = _panel_keep(basis, perm, phis.copy(), raws, threshold)
     assert not keep.any()
     assert not full_panel_keep(basis, perms, phis, raws, threshold).any()
     assert used == list(range(8))
 
 
-@pytest.mark.parametrize("rank, rows", [(1, 40), (17, 40)])
-def test_panel_leaves_its_arguments_unmodified(rank, rows):
+# 128 rows outweigh twice the widest gather block: G is 32 rows at rank 1,
+# P[perm] 17 columns at rank 17
+@pytest.mark.parametrize("rank", [1, 17])
+def test_panel_compacts_rows_in_place(rank):
     threshold = ThresholdConfig(n_surrogates=45, significance_pct=10.0, factor=1.0, seed=rank)
-    basis, phis = ranked_panel_case(rank, rows)
+    basis, phis = ranked_panel_case(rank, 128, T=1000)
     raws = panel_raws(basis, phis)
     phis_before, raws_before = phis.copy(), raws.copy()
-    _, perm, _ = panel_draws(threshold, basis.T)
-    keep = _panel_keep(basis, perm, phis, raws, threshold)
-    assert 0 < keep.sum() < rows
-    assert np.array_equal(phis, phis_before) and np.array_equal(raws, raws_before)
+    perms, perm, _ = panel_draws(threshold, basis.T)
+    tracemalloc.start()
+    try:
+        keep = _panel_keep(basis, perm, phis, raws, threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < keep.sum() < len(keep)
+    assert np.array_equal(raws, raws_before)
+    assert keep.tolist() == full_panel_keep(basis, perms, phis_before, raws, threshold).tolist()
+    # no working copy of the rows: phis is the scratch that gets compacted
+    assert peak < phis.nbytes / 2
 
 
 def panel_sweep_case():

@@ -1,6 +1,7 @@
 """Experiment configs, report files, pipelines on tiny inputs, and the CLI."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ipcap import (
     run_tipc,
     write_report,
 )
+import ipcap.presets
 from ipcap.cli import main
 from ipcap.distributions import DistributionSpec, sample_stream
 from ipcap.reports import report_from_dict, report_to_dict, write_series_csv
@@ -161,6 +163,48 @@ def test_run_ipc_zero_state_has_zero_capacity(tmp_path):
     report = run_ipc(cfg, tmp_path)
     assert report.rank == 0
     assert report.total == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, system",
+    [("ipc", {"kind": "esn", "n_nodes": 8}), ("tipc", {"kind": "esn_1d", "rho": 0.9})],
+)
+def test_capacity_run_frees_the_trajectory_before_the_sweep(tmp_path, monkeypatch, kind, system):
+    config = ExperimentConfig.from_dict(
+        {
+            "name": "freed",
+            "kind": kind,
+            "system": system,
+            "input": {"distribution": {"kind": "uniform"}, "T": 2000, "washout": 100},
+            "sweep": {"family": {"kind": "legendre"}, "degree_blocks": [[1, 4], [2, 3]]},
+        }
+    )
+    arrays, components = [], []
+    real_build, real_detrend = ipcap.presets._build_state, ipcap.presets.detrend
+    real_sweep = ipcap.presets.capacity_sweep
+
+    def recording_build(*args):
+        state = real_build(*args)
+        arrays.append(weakref.ref(state.data))
+        return state
+
+    def recording_detrend(*args):
+        state = real_detrend(*args)
+        arrays.append(weakref.ref(state.data))
+        components.append(state.meta["detrend"]["components"])
+        return state
+
+    def checking_sweep(*args, **kwargs):
+        assert len(arrays) == 2 and all(ref() is None for ref in arrays)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(ipcap.presets, "_build_state", recording_build)
+    monkeypatch.setattr(ipcap.presets, "detrend", recording_detrend)
+    monkeypatch.setattr(ipcap.presets, "capacity_sweep", checking_sweep)
+    report = (run_tipc if kind == "tipc" else run_ipc)(config, tmp_path)
+    assert report.entries
+    if kind == "tipc":
+        assert report.meta["detrend"] == components[0] and any(components[0])
 
 
 def test_run_ipc_rejects_short_state(tmp_path):
@@ -341,8 +385,19 @@ gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 
             for key, value in (
                 ("fit_degree", 0), ("fit_degree", "a"), ("max_degree_per_var", "a"),
                 ("detrend_harmonics", "a"), ("detrend_harmonics", -1), ("rank_tol", "a"),
+                ("max_degree_per_var", 0),
             )
         ],
+        (
+            "ipc",
+            capacity_config_text(
+                sweep={
+                    "family": {"kind": "hahn", "params": {"alpha": -1.0, "beta": -1.0}},
+                    "degree_blocks": [[1, 2]],
+                }
+            ),
+        ),
+        ("ipc", capacity_config_text(sweep={**gram_schmidt_sweep, "degree_blocks": [[3, 2]], "fit_degree": 2})),
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
@@ -352,7 +407,7 @@ gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 
         "laguerre_alpha_type", "krawtchouk_n_fraction", "jacobi_alpha_range",
         "gram_schmidt_max_degree_alias", "fit_degree_zero", "fit_degree_type",
         "max_degree_per_var_type", "detrend_harmonics_type", "detrend_harmonics_negative",
-        "rank_tol_type",
+        "rank_tol_type", "max_degree_per_var_zero", "hahn_zero_denominator", "fit_degree_below_top",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
@@ -361,6 +416,24 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
     assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "family, sweep, message",
+    [
+        # 2n + alpha + beta hits 0, -1 or -2 only at the step to degree 3
+        ({"kind": "hahn", "params": {"alpha": -4.5, "beta": -0.5}}, {}, "step to degree 3 divides by zero"),
+        ({"kind": "gram_schmidt"}, {"fit_degree": 2}, "sweep.fit_degree: must be >= 3"),
+    ],
+)
+def test_config_rejects_a_family_the_sweep_cannot_evaluate(family, sweep, message):
+    payload = json.loads(
+        capacity_config_text(sweep={"family": family, "degree_blocks": [[3, 2]], **sweep})
+    )
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(payload)
+    # the sweep never evaluates degree 3 when each variable is capped at degree 2
+    ExperimentConfig.from_dict({**payload, "sweep": {**payload["sweep"], "max_degree_per_var": 2}})
 
 
 def test_cli_multi_column_input_exits_3(tmp_path, capsys):

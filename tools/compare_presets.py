@@ -8,8 +8,9 @@ Each preset runs once per tree, each run in its own process at one BLAS
 thread, the two trees one after the other. Per preset the table shows
 whether the kept sets, the skip lists (order included) and the ranks are
 equal, the largest |raw capacity difference| over the targets, and the
-seconds each run took. The exit status is 1 if any decision, skip or rank
-differs, or if a raw capacity moves by more than 1e-12; otherwise 0.
+seconds and the peak RSS (ru_maxrss, MiB) of each run. The exit status is 1
+if any decision, skip or rank differs, or if a raw capacity moves by more
+than 1e-12; otherwise 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ RAW_BOUND = 1e-12
 
 # Runs one preset in a fresh temporary directory and prints its digest.
 _WORKER = """
-import json, sys, tempfile, time
+import json, resource, sys, tempfile, time
 from ipcap import get_preset, run_ipc, run_tipc
 config = get_preset(sys.argv[1])
 with tempfile.TemporaryDirectory() as outdir:
@@ -33,6 +34,8 @@ with tempfile.TemporaryDirectory() as outdir:
     seconds = time.perf_counter() - t0
 print(json.dumps({
     "seconds": seconds,
+    # kilobytes on Linux
+    "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "rank": report.rank,
     "raw": {e.spec: e.raw_capacity for e in report.entries},
     "kept": sorted(e.spec for e in report.entries if e.thresholded_capacity != 0.0),
@@ -76,7 +79,10 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src, *names = argv
     names = names or _python(change_src, _LIST).split()
-    header = f"{'preset':<22} {'kept':>5} {'skips':>5} {'rank':>5} {'max |dRaw|':>11} {'parent s':>9} {'change s':>9}"
+    header = (
+        f"{'preset':<22} {'kept':>5} {'skips':>5} {'rank':>5} {'max |dRaw|':>11}"
+        f" {'parent s':>9} {'change s':>9} {'parent MiB':>10} {'change MiB':>10}"
+    )
     print(header)
     print("-" * len(header))
     failed = False
@@ -90,6 +96,7 @@ def main(argv: list[str]) -> int:
         print(
             f"{name:<22} {same[0]:>5} {same[1]:>5} {same[2]:>5} "
             f"{c['max_delta']:>11.3g} {parent['seconds']:>9.2f} {change['seconds']:>9.2f}"
+            f" {parent['peak_mib']:>10.1f} {change['peak_mib']:>10.1f}"
             + ("  FAIL" if bad else ""),
             flush=True,
         )
