@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .distributions import FAMILY_PARAMS, check_params
 from .errors import (
     DegeneracyError,
     DegenerateTargetError,
@@ -48,21 +49,8 @@ class PolynomialFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"kind: unknown polynomial family {self.kind!r}")
-        if not isinstance(self.params, dict):
-            raise ParameterError(f"params: expected a mapping, got {self.params!r}")
-        bounds = _FAMILIES[self.kind][1]
-        for name, value in self.params.items():
-            if name not in bounds:
-                raise ParameterError(f"params: unknown parameter {name!r} for {self.kind}")
-            default, low, high = bounds[name]
-            number = int if isinstance(default, int) else (int, float)
-            if isinstance(value, bool) or not isinstance(value, number) or not low < value < high:
-                want = "an integer" if number is int else "a number"
-                raise ParameterError(
-                    f"{self.kind}.{name}: expected {want} in ({low}, {high}), got {value!r}"
-                )
-        defaults = {name: default for name, (default, _, _) in bounds.items()}
-        object.__setattr__(self, "params", {**defaults, **self.params})
+        params = check_params(self.kind, FAMILY_PARAMS.get(self.kind, {}), self.params)
+        object.__setattr__(self, "params", params)
         if self.kind == "gram_schmidt":
             r = np.asarray(self.recurrence, dtype=float)
             if r.ndim != 2 or r.shape[1] != 2:
@@ -133,22 +121,22 @@ def _gram_schmidt(n, f):
     return 1.0, -alpha, beta
 
 
-# kind -> (recurrence, {parameter: (default, lower bound, upper bound)}), bounds
-# exclusive; an integer default makes the parameter integral. Hahn is checked
-# by type only: its hypergeometric parametrisation takes negative alpha, beta,
-# and _recurrence rejects those that zero a denominator.
-_FAMILIES = {
-    "hermite": (_hermite, {}),
-    "laguerre": (_laguerre, {"alpha": (1.0, -1.0, inf)}),
-    "jacobi": (_jacobi, {"alpha": (-0.25, -1.0, inf), "beta": (-0.25, -1.0, inf)}),
-    "legendre": (_legendre, {}),
-    "charlier": (_charlier, {"a": (6.0, 0.0, inf)}),
-    "krawtchouk": (_krawtchouk, {"p": (0.5, 0.0, 1.0), "n": (10, 0, inf)}),
-    "meixner": (_meixner, {"c": (0.2, 0.0, 1.0), "beta": (10.0, 0.0, inf)}),
-    "hahn": (_hahn, {"alpha": (-101.0, -inf, inf), "beta": (-51.0, -inf, inf), "n": (20, 0, inf)}),
-    "gram_schmidt": (_gram_schmidt, {}),
+# kind -> (A_n, B_n, C_n) of step n; the parameters and their bounds are those
+# of the law each family is orthogonal under (distributions.FAMILY_PARAMS). Hahn
+# is checked by type only: its hypergeometric parametrisation takes negative
+# alpha, beta, and _recurrence rejects those that zero a denominator.
+_RECURRENCES = {
+    "hermite": _hermite,
+    "laguerre": _laguerre,
+    "jacobi": _jacobi,
+    "legendre": _legendre,
+    "charlier": _charlier,
+    "krawtchouk": _krawtchouk,
+    "meixner": _meixner,
+    "hahn": _hahn,
+    "gram_schmidt": _gram_schmidt,
 }
-FAMILY_KINDS = tuple(_FAMILIES)
+FAMILY_KINDS = tuple(_RECURRENCES)
 
 
 def _recurrence(family: PolynomialFamily, max_degree: int) -> list[tuple[float, float, float]]:
@@ -161,7 +149,7 @@ def _recurrence(family: PolynomialFamily, max_degree: int) -> list[tuple[float, 
         raise ParameterError(f"degree: must be >= 0, got {max_degree}")
     if max_degree > family.max_degree:
         raise ParameterError(f"degree: {max_degree} exceeds family max degree {family.max_degree}")
-    coefficients = _FAMILIES[family.kind][0]
+    coefficients = _RECURRENCES[family.kind]
     steps = []
     for n in range(max_degree):
         try:

@@ -1,10 +1,14 @@
 """Bundled experiment configurations and the pipelines that execute them.
 
 A configuration is a plain dict with blocks: system (what produces the state),
-input (distribution, shaping, length, seed), sweep (chaos enumeration and
-polynomial family), threshold (surrogate significance), output (file names),
-and, for the recurrence analysis suite, an analysis block. Presets are
-self-contained: every seed is pinned and nothing reads the network.
+input (distribution or csv, shaping, length, seed), sweep (chaos enumeration),
+threshold (surrogate significance), output (file names), and, for the
+recurrence analysis suite, an analysis block. The sweep's polynomial family
+follows from the input law (distributions.LAWS); sweep.family may restate it
+or ask for gram_schmidt, and must be given only for a CSV input that should
+not be fitted. The presets name no family: each fig1a preset is one law,
+tagged with the family it picks. Presets are self-contained: every seed is
+pinned and nothing reads the network.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ from .capacity import (
     detrend,
 )
 from .distributions import (
+    LAWS,
     DistributionSpec,
     InputShaping,
     analytic_moments,
     sample_stream,
     shape_input,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, ParameterError
 from .narma import (
     LyapunovConfig,
     approx_model_coeffs,
@@ -199,8 +204,6 @@ class ExperimentConfig:
                 raise ConfigError("input.T: required for capacity experiments")
             if ("distribution" in inp) == ("csv" in inp):
                 raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
-            if "family" not in sweep:
-                raise ConfigError("sweep.family: required for capacity experiments")
             blocks = sweep.get("degree_blocks")
             if not blocks or not isinstance(blocks, (list, tuple)):
                 raise ConfigError(
@@ -215,7 +218,16 @@ class ExperimentConfig:
                     raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
             # the highest polynomial degree any target of the sweep evaluates
             top = min(max(d for d, _ in blocks), sweep.get("max_degree_per_var", math.inf))
-            family = sweep["family"]
+            # the input law picks the family; a CSV input has no law and is fitted
+            law = None
+            if "distribution" in inp:
+                _check_keys("input.distribution", inp["distribution"], {"kind", "params"})
+                try:
+                    law = DistributionSpec.from_dict(inp["distribution"])
+                except ParameterError as exc:
+                    raise ConfigError(f"input.distribution: {exc}") from None
+            derived = law.family if law else {"kind": "gram_schmidt", "params": {}}
+            family = sweep.get("family", derived)
             _check_keys("sweep.family", family, {"kind", "params"})
             if family.get("kind") == "gram_schmidt":
                 # fitted to the input stream at run time; it takes no parameters
@@ -225,11 +237,17 @@ class ExperimentConfig:
                         f"sweep.fit_degree: must be >= {top}, the top degree the sweep"
                         f" evaluates, got {sweep['fit_degree']}"
                     )
+                sweep["family"] = {"kind": "gram_schmidt", "params": {}}
             else:
-                _recurrence(
-                    PolynomialFamily(kind=family.get("kind"), params=family.get("params", {})),
-                    top,
-                )
+                chosen = PolynomialFamily(kind=family.get("kind"), params=family.get("params", {}))
+                _recurrence(chosen, top)
+                if law and (chosen.kind, chosen.params) != (derived["kind"], derived["params"]):
+                    raise ConfigError(
+                        f"sweep.family: {chosen.kind} {chosen.params} is not orthogonal under"
+                        f" input.distribution {law.kind} {law.params}, whose family is"
+                        f" {derived['kind']} {derived['params']}; omit sweep.family or use gram_schmidt"
+                    )
+                sweep["family"] = {"kind": chosen.kind, "params": chosen.params}
         if kind == "narma_suite" and not analysis:
             raise ConfigError("analysis: required for narma_suite experiments")
         return cls(
@@ -265,17 +283,20 @@ _INTEGRITY_BLOCKS = ((1, 60), (2, 30), (3, 12))
 _DEFAULT_THRESHOLD = {"n_surrogates": 200, "significance_pct": 1.0, "factor": 2.0, "seed": 7}
 
 
-def _fig1a_preset(tag: str, dist: dict, family: dict, seed: int, **sweep_extra) -> dict:
+def _fig1a_preset(law: str, seed: int, **sweep_extra) -> dict:
     """Single-unit nonlinear unit at rho = 0.95 driven by one input law.
 
-    The shaping standardizes the effective drive to mean 0 and spread 0.3 so
-    every distribution exercises the unit in a comparable regime.
+    The preset is named after the law's classical family, or after the law
+    where that is gram_schmidt. The shaping standardizes the effective drive
+    to mean 0 and spread 0.3 so every distribution exercises the unit in a
+    comparable regime.
     """
-    spec = DistributionSpec(kind=dist["kind"], params=dist.get("params", {}))
+    spec = DistributionSpec(kind=law)
     mean, var = analytic_moments(spec)
     kappa = 0.3 / math.sqrt(var)
-    name = f"fig1a_{tag}"
-    sweep = {"family": family, "degree_blocks": _FIG1A_BLOCKS}
+    family = LAWS[law].family
+    name = f"fig1a_{law if family == 'gram_schmidt' else family}"
+    sweep = {"degree_blocks": _FIG1A_BLOCKS}
     sweep.update(sweep_extra)
     return {
         "name": name,
@@ -295,42 +316,19 @@ def _fig1a_preset(tag: str, dist: dict, family: dict, seed: int, **sweep_extra) 
 
 
 def _build_presets() -> dict[str, dict]:
-    p: dict[str, dict] = {}
-    gpc_pairs = [
-        ("legendre", {"kind": "uniform"}, {"kind": "legendre"}),
-        ("hermite", {"kind": "gaussian"}, {"kind": "hermite"}),
-        ("laguerre", {"kind": "gamma"}, {"kind": "laguerre", "params": {"alpha": 1.0}}),
-        ("jacobi", {"kind": "beta"}, {"kind": "jacobi", "params": {"alpha": -0.25, "beta": -0.25}}),
-        ("charlier", {"kind": "poisson"}, {"kind": "charlier", "params": {"a": 6.0}}),
-        ("krawtchouk", {"kind": "binomial"}, {"kind": "krawtchouk", "params": {"p": 0.5, "n": 10}}),
-        (
-            "meixner",
-            {"kind": "negative_binomial"},
-            {"kind": "meixner", "params": {"c": 0.2, "beta": 10.0}},
-        ),
-        (
-            "hahn",
-            {"kind": "hypergeometric"},
-            {"kind": "hahn", "params": {"alpha": -101.0, "beta": -51.0, "n": 20}},
-        ),
-    ]
-    for i, (tag, dist, family) in enumerate(gpc_pairs):
-        p[f"fig1a_{tag}"] = _fig1a_preset(tag, dist, family, seed=101 + i)
-    apc_tags = ["mixed_gaussian", "pareto", "zipf"]
-    for i, tag in enumerate(apc_tags):
-        p[f"fig1a_{tag}"] = _fig1a_preset(
-            tag, {"kind": tag}, {"kind": "gram_schmidt"}, seed=121 + i, fit_degree=8
-        )
-    # Two-point input admits only degree-1 factors; chaos is multilinear
-    p["fig1a_bernoulli"] = _fig1a_preset(
-        "bernoulli",
-        {"kind": "bernoulli"},
-        {"kind": "gram_schmidt"},
-        seed=124,
-        fit_degree=1,
-        max_degree_per_var=1,
-        degree_blocks=_FIG1A_MULTILINEAR_BLOCKS,
+    gpc_laws = (
+        "uniform", "gaussian", "gamma", "beta", "poisson", "binomial", "negative_binomial",
+        "hypergeometric",
     )
+    fig1a = [_fig1a_preset(law, seed=101 + i) for i, law in enumerate(gpc_laws)]
+    fig1a += [
+        _fig1a_preset(law, seed=121 + i, fit_degree=8)
+        for i, law in enumerate(("mixed_gaussian", "pareto", "zipf"))
+    ]
+    # Two-point input admits only degree-1 factors; chaos is multilinear
+    multilinear = {"fit_degree": 1, "max_degree_per_var": 1, "degree_blocks": _FIG1A_MULTILINEAR_BLOCKS}
+    fig1a.append(_fig1a_preset("bernoulli", seed=124, **multilinear))
+    p: dict[str, dict] = {preset["name"]: preset for preset in fig1a}
 
     p["fig1b_limit_cycle"] = {
         "name": "fig1b_limit_cycle",
@@ -346,7 +344,6 @@ def _build_presets() -> dict[str, dict]:
             "seed": 131,
         },
         "sweep": {
-            "family": {"kind": "legendre"},
             "degree_blocks": _FIG1B_BLOCKS,
             "temporal": [3000],
             "detrend_harmonics": 2,
@@ -371,7 +368,7 @@ def _build_presets() -> dict[str, dict]:
                 "washout": 1000,
                 "seed": 141,
             },
-            "sweep": {"family": {"kind": "legendre"}, "degree_blocks": _FIG2A_BLOCKS},
+            "sweep": {"degree_blocks": _FIG2A_BLOCKS},
             "threshold": dict(_DEFAULT_THRESHOLD),
             "output": {"basename": name},
         }
@@ -395,7 +392,6 @@ def _build_presets() -> dict[str, dict]:
             "seed": 151,
         },
         "sweep": {
-            "family": {"kind": "legendre"},
             "degree_blocks": _INTEGRITY_BLOCKS,
             # the state matrix is Krylov-conditioned: singular values reach
             # the roundoff floor near direction 48; keep everything that is
@@ -418,7 +414,6 @@ def _build_presets() -> dict[str, dict]:
             "seed": 161,
         },
         "sweep": {
-            "family": {"kind": "legendre"},
             "degree_blocks": ((1, 5), (2, 5)),
             "temporal": [7],
             "detrend_harmonics": 1,
@@ -556,8 +551,7 @@ def _input_stream(config: ExperimentConfig, length: int):
                 f"input.csv: need at least {length} samples, file has {zeta.size}"
             )
     else:
-        dist = inp["distribution"]
-        spec = DistributionSpec(kind=dist["kind"], params=dist.get("params", {}))
+        spec = DistributionSpec.from_dict(inp["distribution"])
         zeta = sample_stream(spec, length, int(inp.get("seed", 0)))
     return zeta, shape_input(zeta, shaping), shaping
 
@@ -578,6 +572,10 @@ def _build_state(system: dict, zeta: np.ndarray, shaping: InputShaping) -> State
     if kind == "limit_cycle":
         return simulate_limit_cycle(LimitCycleConfig(shaping=shaping, **params), zeta)
     state = _load_csv_matrix(system["state_csv"])
+    if state.shape[0] != zeta.size:
+        raise DataError(
+            f"system.state_csv: has {state.shape[0]} rows, input.T is {zeta.size}; they must be equal"
+        )
     return StateMatrix(state, meta={"system": "external"})
 
 

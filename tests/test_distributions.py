@@ -13,8 +13,9 @@ from ipcap import (
     sample_stream,
     shape_input,
 )
-from ipcap.distributions import KINDS
+from ipcap.distributions import LAWS
 
+KINDS = tuple(LAWS)
 DISCRETE = ("poisson", "binomial", "negative_binomial", "hypergeometric", "zipf", "bernoulli")
 
 
@@ -113,6 +114,10 @@ def test_shaping_roundtrip():
         ("zipf", {"s": 0.0}, "s"),
         ("zipf", {"k_max": 1}, "k_max"),
         ("bernoulli", {"p": -0.1}, "p"),
+        # integer parameters are not truncated
+        ("binomial", {"n": 2.5}, "n"),
+        ("hypergeometric", {"m": 100.7}, "m"),
+        ("zipf", {"k_max": 9.9}, "k_max"),
     ],
 )
 def test_parameter_errors_name_field(kind, params, field):

@@ -136,6 +136,17 @@ def test_run_ipc_external_delay_line(tmp_path):
     assert (tmp_path / "delayline.csv").read_text().startswith("spec,order")
 
 
+def test_cli_external_state_length_must_equal_T(tmp_path, capsys):
+    cfg = delay_line_config(tmp_path, T=3000).to_dict()
+    write_csv(tmp_path / "state.csv", np.linspace(-1, 1, 50), header="x0")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "50" in err and "3000" in err
+
+
 def test_run_ipc_output_is_byte_stable(tmp_path):
     cfg = delay_line_config(tmp_path, T=200)
     run_ipc(cfg, tmp_path / "a")
@@ -342,6 +353,19 @@ def capacity_config_text(**blocks):
 
 gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 2]]}
 
+# an input law with a family that is not orthogonal under it
+MISMATCHED = [
+    {
+        "input": {"distribution": {"kind": law, "params": law_params}, "T": 200},
+        "sweep": {"family": family, "degree_blocks": [[1, 2]]},
+    }
+    for law, law_params, family in (
+        ("gamma", {"alpha": 4.0}, {"kind": "laguerre", "params": {"alpha": 1.0}}),
+        ("gamma", {}, {"kind": "hermite"}),
+        ("poisson", {"a": 3.0}, {"kind": "charlier", "params": {"a": 6.0}}),
+    )
+]
+
 
 @pytest.mark.parametrize(
     "command, text",
@@ -356,7 +380,7 @@ gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 
         (
             "ipc",
             capacity_config_text(
-                input={"distribution": {"kind": "uniform", "params": {"low": "a"}}, "T": 200}
+                input={"distribution": {"kind": "gamma", "params": {"alpha": "a"}}, "T": 200}
             ),
         ),
         ("ipc", capacity_config_text(threshold={"seed": -3})),
@@ -398,6 +422,13 @@ gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 
             ),
         ),
         ("ipc", capacity_config_text(sweep={**gram_schmidt_sweep, "degree_blocks": [[3, 2]], "fit_degree": 2})),
+        *[("ipc", capacity_config_text(**blocks)) for blocks in MISMATCHED],
+        (
+            "ipc",
+            capacity_config_text(
+                input={"distribution": {"kind": "uniform", "params": {"low": 0.0, "high": 1.0}}, "T": 200}
+            ),
+        ),
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
@@ -408,6 +439,7 @@ gram_schmidt_sweep = {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[1, 
         "gram_schmidt_max_degree_alias", "fit_degree_zero", "fit_degree_type",
         "max_degree_per_var_type", "detrend_harmonics_type", "detrend_harmonics_negative",
         "rank_tol_type", "max_degree_per_var_zero", "hahn_zero_denominator", "fit_degree_below_top",
+        "gamma_laguerre_alpha", "gamma_hermite", "poisson_charlier_a", "uniform_low_high",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
@@ -427,13 +459,69 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
     ],
 )
 def test_config_rejects_a_family_the_sweep_cannot_evaluate(family, sweep, message):
+    # a CSV input has no law, so the config takes the family as given
     payload = json.loads(
-        capacity_config_text(sweep={"family": family, "degree_blocks": [[3, 2]], **sweep})
+        capacity_config_text(
+            input={"csv": "input.csv", "T": 200},
+            sweep={"family": family, "degree_blocks": [[3, 2]], **sweep},
+        )
     )
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(payload)
     # the sweep never evaluates degree 3 when each variable is capped at degree 2
     ExperimentConfig.from_dict({**payload, "sweep": {**payload["sweep"], "max_degree_per_var": 2}})
+
+
+@pytest.mark.parametrize("blocks", MISMATCHED)
+def test_config_error_names_the_law_and_the_family(tmp_path, capsys, blocks):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(capacity_config_text(**blocks))
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input.distribution" in err and "sweep.family" in err
+
+
+@pytest.mark.parametrize(
+    "law, restated, family",
+    [
+        ({"kind": "uniform"}, {"kind": "legendre"}, {"kind": "legendre", "params": {}}),
+        (
+            {"kind": "hypergeometric", "params": {"m": 30}},
+            {"kind": "hahn", "params": {"alpha": -31.0}},
+            {"kind": "hahn", "params": {"alpha": -31.0, "beta": -51.0, "n": 20}},
+        ),
+        ({"kind": "pareto"}, {"kind": "gram_schmidt"}, {"kind": "gram_schmidt", "params": {}}),
+    ],
+)
+def test_the_input_law_picks_the_family(law, restated, family):
+    payload = json.loads(capacity_config_text(input={"distribution": law, "T": 200}))
+    # no family, or the law's family restated with or without its defaults
+    for given in ({}, {"family": restated}, {"family": family}):
+        config = ExperimentConfig.from_dict({**payload, "sweep": {**given, "degree_blocks": [[1, 2]]}})
+        assert config.sweep["family"] == family
+    assert ExperimentConfig.from_dict(
+        {**payload, "sweep": gram_schmidt_sweep}
+    ).sweep["family"] == {"kind": "gram_schmidt", "params": {}}
+
+
+def test_cli_capacity_config_without_family_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        capacity_config_text(sweep={"degree_blocks": [[1, 2]]}, output={"basename": "derived"})
+    )
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+    assert read_report(tmp_path / "derived.json").meta["family"] == "legendre"
+
+
+def test_cli_csv_input_without_family_runs_on_gram_schmidt(tmp_path, capsys):
+    cfg = delay_line_config(tmp_path, T=200).to_dict()
+    del cfg["sweep"]["family"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+    report = read_report(tmp_path / "delayline.json")
+    assert report.meta["family"] == "gram_schmidt"
+    assert report.entries[0].raw_capacity > 0.98
 
 
 def test_cli_multi_column_input_exits_3(tmp_path, capsys):

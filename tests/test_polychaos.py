@@ -25,6 +25,7 @@ from ipcap import (
     sample_stream,
     shape_input,
 )
+from ipcap.distributions import LAWS
 
 
 def eval_univariate(family, degree, zeta):
@@ -97,6 +98,38 @@ def test_unknown_family_rejected():
 def test_family_parameters_checked_against_weight(kind, params):
     with pytest.raises(ParameterError):
         PolynomialFamily(kind=kind, params=params)
+
+
+def mean_over_rms(family, zeta, degree=8):
+    """max over degrees 1..degree of |mean psi_n| / rms psi_n on the sample."""
+    table = eval_table(family, zeta, degree)[:, 1:]
+    return float(np.max(np.abs(table.mean(axis=0)) / np.sqrt((table**2).mean(axis=0))))
+
+
+@pytest.mark.parametrize("law", [k for k, law in LAWS.items() if law.family != "gram_schmidt"])
+def test_derived_family_is_orthogonal_under_its_law(law):
+    # every psi_n, n >= 1, is orthogonal to psi_0 = 1, so its sample mean is
+    # O(rms / sqrt(T)); this pins the Hahn map and every shared parameter name
+    spec = DistributionSpec(kind=law)
+    family = PolynomialFamily(**spec.family)
+    assert mean_over_rms(family, sample_stream(spec, 100_000, seed=3)) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "law, shaping, family",
+    [
+        ({"kind": "gamma", "params": {"alpha": 4.0}}, None, {"kind": "laguerre", "params": {"alpha": 1.0}}),
+        ({"kind": "gamma"}, None, {"kind": "hermite"}),
+        # uniform on [0, 1]
+        ({"kind": "uniform"}, InputShaping(mu=0.5, kappa=0.5), {"kind": "legendre"}),
+        ({"kind": "poisson", "params": {"a": 3.0}}, None, {"kind": "charlier", "params": {"a": 6.0}}),
+    ],
+)
+def test_mismatched_family_is_not_orthogonal(law, shaping, family):
+    zeta = sample_stream(DistributionSpec.from_dict(law), 100_000, seed=3)
+    if shaping is not None:
+        zeta = shape_input(zeta, shaping)
+    assert mean_over_rms(PolynomialFamily(**family), zeta) >= 0.5
 
 
 def test_eval_table_matches_univariate():
