@@ -22,11 +22,12 @@ decision is its hit count over all draws, so neither the chunking nor the
 early stop can change it. The panel compacts its pending rows in place as
 they are decided, so it holds no copy of them.
 
-A thresholded sweep runs the panel on one background thread, the only
-Python thread ipcap starts: borderline targets are queued to it while the
-sweeping thread builds, projects and reduces the next tiles, and its
-decisions are read after it is joined. The thread alone draws the
-permutations, so how the two threads interleave cannot change a decision.
+A thresholded sweep runs the panel on one background thread: borderline
+targets are queued to it while the sweeping thread builds, projects and
+reduces the next tiles, and its decisions are read after it is joined. The
+thread alone draws the permutations, so how the two threads interleave cannot
+change a decision. ipcap starts one other Python thread, the input draw thread
+of narma.divergence_probability; each of the two owns its own generator.
 BLAS thread settings are left as they are, and a sweep without a threshold
 starts no thread.
 """

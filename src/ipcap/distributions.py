@@ -69,7 +69,8 @@ class Law:
     """One input law: how to sample it, its parameters, its support and its chaos family.
 
     params maps each parameter to its declaration (see check_params); support
-    gives the closed interval holding every sample; check tests constraints
+    gives the closed interval holding every sample, and a discrete law takes
+    every integer in it and nothing else; check tests constraints
     that span parameters. to_family maps the law's parameters to the family's
     where the family has its own, and family_bounds gives their (low, high).
     """
@@ -81,6 +82,7 @@ class Law:
     check: Callable | None = None
     to_family: Callable | None = None
     family_bounds: dict | None = None
+    discrete: bool = False  # the support holds only its integers
 
     @property
     def family_params(self) -> dict:
@@ -151,12 +153,14 @@ LAWS: dict[str, Law] = {
         {"a": (6.0, 0.0, inf)},
         lambda p: (0.0, inf),
         "charlier",
+        discrete=True,
     ),
     "binomial": Law(
         lambda rng, p, count: rng.binomial(n=p["n"], p=p["p"], size=count).astype(float),
         {"p": (0.5, 0.0, 1.0), "n": (10, 0, inf)},
         lambda p: (0.0, p["n"]),
         "krawtchouk",
+        discrete=True,
     ),
     # failure counts; success probability 1-c matches the Meixner weight c^z (beta)_z / z!
     "negative_binomial": Law(
@@ -164,6 +168,7 @@ LAWS: dict[str, Law] = {
         {"c": (0.2, 0.0, 1.0), "beta": (10.0, 0.0, inf)},
         lambda p: (0.0, inf),
         "meixner",
+        discrete=True,
     ),
     # Hahn Q_k(z; alpha, beta, N) is orthogonal under it with alpha = -m-1, beta = -n-1, N = draws
     "hypergeometric": Law(
@@ -174,6 +179,7 @@ LAWS: dict[str, Law] = {
         check=_check_draws,
         to_family=lambda p: {"alpha": -p["m"] - 1.0, "beta": -p["n"] - 1.0, "n": p["draws"]},
         family_bounds={"alpha": (-inf, inf), "beta": (-inf, inf), "n": (0, inf)},
+        discrete=True,
     ),
     "mixed_gaussian": Law(
         _sample_mixed_gaussian,
@@ -190,11 +196,14 @@ LAWS: dict[str, Law] = {
     ),
     # classic rank-frequency law; s = 1 keeps every atom of the truncated
     # support well populated so high-degree sample bases stay conditioned
-    "zipf": Law(_sample_zipf, {"s": (1.0, 0.0, inf), "k_max": (50, 1, inf)}, lambda p: (1.0, p["k_max"])),
+    "zipf": Law(
+        _sample_zipf, {"s": (1.0, 0.0, inf), "k_max": (50, 1, inf)}, lambda p: (1.0, p["k_max"]), discrete=True
+    ),
     "bernoulli": Law(
         lambda rng, p, count: (rng.random(count) < p["p"]).astype(float),
         {"p": (0.5, 0.0, 1.0)},
         lambda p: (0.0, 1.0),
+        discrete=True,
     ),
 }
 
@@ -230,6 +239,12 @@ class DistributionSpec:
         """Closed interval containing all samples (inf bounds where unbounded)."""
         low, high = LAWS[self.kind].support(self.params)
         return float(low), float(high)
+
+    @property
+    def support_points(self) -> float:
+        """How many values the law takes: finite only for a discrete law on a bounded support."""
+        low, high = self.support
+        return high - low + 1.0 if LAWS[self.kind].discrete else inf
 
     @property
     def family(self) -> dict:

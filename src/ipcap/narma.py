@@ -9,6 +9,8 @@ whose coefficients predict the measured capacities.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +84,14 @@ def nullclines(
 
 
 # Elements (steps x batch columns) of one input block. It bounds the memory of
-# the input stream, of its precomputed g*u_t*u_{t-9} term and of the
-# callback's full-width draws.
-_BLOCK_ELEMENTS = 1 << 18
+# the input stream, of its precomputed g*u_t*u_{t-9} term and of each of the
+# two full-width draw buffers that divergence_probability's draw thread fills.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(B: int) -> int:
+    """Steps per input block of a B-column batch: a whole number of ring turns."""
+    return max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11
 
 
 def _narma_batch(
@@ -129,7 +136,7 @@ def _narma_batch(
     ring = np.empty((11, B))
     ring[1:] = history  # y_{t-9} .. y_t before step 0; slot 0 is written first
     lag = np.zeros((9, B))  # u_{t-9} .. u_{t-1}
-    rows = max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11
+    rows = _block_rows(B)
     c_buf = np.empty(rows * B)
     mul, add, sub = np.multiply, np.add, np.subtract
     t = 0
@@ -223,6 +230,46 @@ def basin_scan(
     return steps.reshape(A, Bn)
 
 
+def _fill_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out in place with bitwise the values of rng.uniform(-1.0, 1.0, out.shape)."""
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+
+
+def _draw_worker(
+    seed: int,
+    rows: int,
+    horizon: int,
+    free: queue.SimpleQueue,
+    filled: queue.SimpleQueue,
+    stop: threading.Event,
+    failed: list,
+) -> None:
+    """Body of divergence_probability's draw thread: the input stream, block by block.
+
+    The thread owns the generator. It takes an empty (rows, B) buffer from
+    free, fills the next steps of the full-width stream into it, and puts
+    (buffer, steps filled) on filled, until the horizon is drawn. None on
+    free, or stop set, ends it. It always ends by putting None on filled, so
+    the caller never waits for a block that will not come, and an exception
+    goes into failed first: the caller raises it on reading that None.
+    """
+    try:
+        rng = np.random.default_rng(seed)
+        for t in range(0, horizon, rows):
+            buf = free.get()
+            if buf is None or stop.is_set():
+                return
+            n = min(rows, horizon - t)
+            _fill_uniform(rng, buf[:n])
+            filled.put((buf, n))
+    except BaseException as exc:  # divergence_probability raises it again
+        failed.append(exc)
+    finally:
+        filled.put(None)
+
+
 def divergence_probability(
     config: Narma10Config,
     sigmas,
@@ -234,32 +281,72 @@ def divergence_probability(
     """Fraction of input streams per sigma that survive the horizon.
 
     All (sigma, seed) trajectories run as one vectorized batch, so the wall
-    time is set by the horizon, not by the number of sigma values.
+    time is set by the horizon, not by the number of sigma values. The inputs
+    are one full-width stream: step t of column c is element t * B + c of
+    default_rng(seed)'s uniform(-1, 1) draws, for all B columns whether live
+    or not, so a column's inputs do not depend on which other columns have
+    diverged. One background thread (_draw_worker) draws that stream into two
+    buffers in turn while the batch steps; it is joined before this returns
+    or raises, and an exception raised on it is raised here. The batch only
+    gathers and shapes the live columns of each drawn block.
     """
     if n_seeds < 1:
         raise ParameterError(f"n_seeds: must be >= 1, got {n_seeds}")
     if horizon < 1:
         raise ParameterError(f"horizon: must be >= 1, got {horizon}")
     sig = [float(s) for s in sigmas]
+    if not sig:
+        return []
     shapings = [
         InputShaping.symmetric(s) if symmetric else InputShaping.asymmetric(s)
         for s in sig
     ]
     mu = np.repeat([sh.mu for sh in shapings], n_seeds)
     kappa = np.repeat([sh.kappa for sh in shapings], n_seeds)
-    init = np.tile(np.array(config.init)[:, None], (1, len(sig) * n_seeds))
-    rng = np.random.default_rng(seed)
+    B = len(sig) * n_seeds
+    init = np.tile(np.array(config.init)[:, None], (1, B))
+    rows = _block_rows(B)
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((rows, B)))
+    stop, failed = threading.Event(), []
+    buf, drawn, used = None, 0, 0  # the block in hand, its drawn rows, the rows read
 
     def u_blocks(t0, t1, cols):
-        # the full-width draw keeps each column's stream independent of which
-        # columns are still live
-        zeta = rng.uniform(-1.0, 1.0, size=(t1 - t0, init.shape[1]))
-        u = np.take(zeta, cols, axis=1)
+        nonlocal buf, drawn, used
+        parts, need = [], t1 - t0
+        while need:
+            if used == drawn:
+                got = filled.get()
+                if got is None:
+                    raise failed[0]
+                (buf, drawn), used = got, 0
+            k = min(need, drawn - used)
+            parts.append(np.take(buf[used : used + k], cols, axis=1))
+            used, need = used + k, need - k
+            if used == drawn:
+                free.put(buf)  # read in full: the thread may draw into it again
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
         u *= kappa[cols]
         u += mu[cols]
         return u
 
-    diverged = _narma_batch(config, init, u_blocks, horizon)
+    worker = threading.Thread(
+        target=_draw_worker,
+        args=(seed, rows, horizon, free, filled, stop, failed),
+        name="ipcap-draw",
+        # a second interrupt during join must not keep the process alive
+        daemon=True,
+    )
+    worker.start()
+    try:
+        diverged = _narma_batch(config, init, u_blocks, horizon)
+    finally:
+        stop.set()
+        free.put(None)
+        worker.join()
+    if failed:
+        raise failed[0]
     survived = (diverged < 0).reshape(len(sig), n_seeds)
     return [(s, float(row.mean())) for s, row in zip(sig, survived)]
 

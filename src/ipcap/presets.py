@@ -216,8 +216,7 @@ class ExperimentConfig:
                     and all(_is_number(v, integral=True) and v >= 1 for v in pair)
                 ):
                     raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
-            # the highest polynomial degree any target of the sweep evaluates
-            top = min(max(d for d, _ in blocks), sweep.get("max_degree_per_var", math.inf))
+            top = _top_degree(sweep)
             # the input law picks the family; a CSV input has no law and is fitted
             law = None
             if "distribution" in inp:
@@ -229,7 +228,20 @@ class ExperimentConfig:
             derived = law.family if law else {"kind": "gram_schmidt", "params": {}}
             family = sweep.get("family", derived)
             _check_keys("sweep.family", family, {"kind", "params"})
-            if family.get("kind") == "gram_schmidt":
+            fitted = family.get("kind") == "gram_schmidt"
+            # a law on P points carries orthogonal polynomials up to degree P - 1
+            # only. Krawtchouk's higher degrees vanish on its support instead,
+            # and the sweep skips their targets as degenerate.
+            needed = max(top, sweep.get("fit_degree", top)) if fitted else top
+            points = law.support_points if law else math.inf
+            if needed >= points and family.get("kind") != "krawtchouk":
+                key = "max_degree_per_var" if top >= points else "fit_degree"
+                raise ConfigError(
+                    f"sweep.{key}: input.distribution {law.kind} has {points:.0f} support points, so no"
+                    f" basis orthogonal under it goes past degree {points - 1:.0f}, but the sweep"
+                    f" {'evaluates' if top >= points else 'fits'} degree {needed}"
+                )
+            if fitted:
                 # fitted to the input stream at run time; it takes no parameters
                 _check_keys("sweep.family.params", family.get("params", {}), set())
                 if sweep.get("fit_degree", top) < top:
@@ -594,10 +606,15 @@ def _sweep_specs(sweep: dict) -> list[ChaosSpec]:
     return specs
 
 
+def _top_degree(sweep: dict) -> int:
+    """The highest polynomial degree any target of the sweep evaluates."""
+    return min(max(d for d, _ in sweep["degree_blocks"]), sweep.get("max_degree_per_var", math.inf))
+
+
 def _family_and_stream(sweep: dict, zeta: np.ndarray, u: np.ndarray):
     fam = sweep["family"]
     if fam["kind"] == "gram_schmidt":
-        fit_degree = sweep.get("fit_degree", max(d for d, _ in sweep["degree_blocks"]))
+        fit_degree = sweep.get("fit_degree", _top_degree(sweep))
         # data-driven basis is built on the shaped input actually driving
         # the system; targets then read the same stream
         return fit_gram_schmidt(u, fit_degree), u

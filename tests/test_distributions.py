@@ -150,3 +150,23 @@ def test_spec_dict_roundtrip():
 def test_count_must_be_positive():
     with pytest.raises(ParameterError, match="count"):
         sample_stream(DistributionSpec(kind="uniform"), 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, points",
+    [
+        ("bernoulli", {}, 2),
+        ("zipf", {"k_max": 7}, 7),
+        ("binomial", {"n": 4}, 5),
+        ("hypergeometric", {"m": 3, "n": 1, "draws": 3}, 2),  # support 2 .. 3
+        ("poisson", {}, None),
+        ("uniform", {}, None),
+    ],
+)
+def test_support_points_counts_the_values_a_law_takes(kind, params, points):
+    spec = DistributionSpec(kind=kind, params=params)
+    if points is None:
+        assert spec.support_points == np.inf
+    else:
+        assert spec.support_points == points
+        assert np.unique(sample_stream(spec, 5000, seed=3)).size == points

@@ -472,6 +472,75 @@ def test_config_rejects_a_family_the_sweep_cannot_evaluate(family, sweep, messag
     ExperimentConfig.from_dict({**payload, "sweep": {**payload["sweep"], "max_degree_per_var": 2}})
 
 
+@pytest.mark.parametrize(
+    "law, sweep, points, key",
+    [
+        # fitted: a degree-3 block, so the fit and the targets reach degree 3
+        ({"kind": "bernoulli"}, {"degree_blocks": [[1, 2], [3, 2]]}, 2, "max_degree_per_var"),
+        # fitted: the targets stop at degree 1, the fit does not
+        (
+            {"kind": "bernoulli"},
+            {"degree_blocks": [[3, 4]], "max_degree_per_var": 1, "fit_degree": 3},
+            2,
+            "fit_degree",
+        ),
+        ({"kind": "zipf", "params": {"k_max": 3}}, {"degree_blocks": [[3, 2]]}, 3, "max_degree_per_var"),
+        # Hahn, whose recurrence would reach degree 3 before dividing by zero
+        (
+            {"kind": "hypergeometric", "params": {"draws": 2}},
+            {"degree_blocks": [[1, 2], [3, 2]]},
+            3,
+            "max_degree_per_var",
+        ),
+        (
+            {"kind": "binomial", "params": {"n": 2}},
+            {"family": {"kind": "gram_schmidt"}, "degree_blocks": [[3, 2]]},
+            3,
+            "max_degree_per_var",
+        ),
+    ],
+    ids=["bernoulli_degree", "bernoulli_fit_degree", "zipf", "hypergeometric", "binomial_gram_schmidt"],
+)
+def test_cli_refuses_a_basis_the_law_cannot_carry(tmp_path, capsys, monkeypatch, law, sweep, points, key):
+    def no_run(*args):
+        raise AssertionError("the config must be refused before anything runs")
+
+    monkeypatch.setattr(ipcap.presets, "_input_stream", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(capacity_config_text(input={"distribution": law, "T": 300}, sweep=sweep))
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: sweep.{key}: ") and err.count("\n") == 1
+    assert f"has {points} support points" in err
+
+
+def test_finite_support_laws_run_within_their_degree(tmp_path, capsys):
+    # the fit degree defaults to the top degree the targets evaluate (1 here)
+    cfg_path = tmp_path / "bernoulli.json"
+    cfg_path.write_text(
+        capacity_config_text(
+            input={"distribution": {"kind": "bernoulli"}, "T": 300},
+            sweep={"degree_blocks": [[1, 3], [3, 4]], "max_degree_per_var": 1},
+            output={"basename": "bernoulli"},
+        )
+    )
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+    assert read_report(tmp_path / "bernoulli.json").meta["family"] == "gram_schmidt"
+    # Krawtchouk's degrees above n vanish on the support: skipped, not refused
+    cfg_path = tmp_path / "binomial.json"
+    cfg_path.write_text(
+        capacity_config_text(
+            input={"distribution": {"kind": "binomial", "params": {"n": 2}}, "T": 300},
+            sweep={"degree_blocks": [[1, 2], [3, 2]]},
+            output={"basename": "binomial"},
+        )
+    )
+    assert main(["ipc", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+    report = read_report(tmp_path / "binomial.json")
+    assert report.meta["family"] == "krawtchouk"
+    assert {label for label, why in report.skipped if "degenerate" in why} == {"3@1", "3@2"}
+
+
 @pytest.mark.parametrize("blocks", MISMATCHED)
 def test_config_error_names_the_law_and_the_family(tmp_path, capsys, blocks):
     cfg_path = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -506,3 +508,129 @@ def test_batch_keeps_the_scalar_rounding_order():
     got = _NARMA_BATCH(cfg, init, lambda t0, t1, cols: u[t0:t1, cols], u.shape[0])
     assert np.array_equal(got, expected)
     assert (expected == 9).any() and (expected == 10).any()
+
+
+_FILL_UNIFORM = narma._fill_uniform
+
+
+def test_fill_uniform_is_bitwise_the_uniform_draw():
+    expected = np.random.default_rng(3).uniform(-1.0, 1.0, size=(70, 13))
+    rng = np.random.default_rng(3)
+    got = np.empty_like(expected)
+    for t0, t1 in ((0, 5), (5, 6), (6, 70)):  # consecutive fills continue the stream
+        _FILL_UNIFORM(rng, got[t0:t1])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("draw_rows", [22, None])
+@pytest.mark.parametrize("split", [11, 33, 65536])
+def test_any_consumer_split_reads_the_same_stream(monkeypatch, split, draw_rows):
+    # the batch asks for blocks of split steps, across the draw thread's blocks
+    # of draw_rows steps; a short switch interval interleaves the threads finely
+    sigmas, n_seeds, horizon = [0.5, 0.7, 0.9], 20, 1500
+    if draw_rows is not None:
+        monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", draw_rows * len(sigmas) * n_seeds)
+    cfg = Narma10Config()
+    expected = _reference_divergence_steps(cfg, sigmas, n_seeds, horizon, seed=13)
+
+    def split_reference(config, init, u_blocks, horizon):
+        cols = np.arange(init.shape[1])
+        return _reference_narma_batch(
+            config, init, lambda t0, t1: u_blocks(t0, t1, cols), horizon, block=split
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = _batch_steps(
+            monkeypatch, split_reference, divergence_probability, cfg, sigmas,
+            n_seeds=n_seeds, horizon=horizon, seed=13,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, expected)
+    assert (expected < 0).any() and (expected >= 0).any()
+
+
+def _slow_fill(rng, out):
+    # keeps the draw thread alive long enough that a missing join shows
+    time.sleep(0.02)
+    _FILL_UNIFORM(rng, out)
+
+
+def _assert_no_draw_thread(before):
+    assert threading.active_count() == before
+    assert not any(t.name == "ipcap-draw" for t in threading.enumerate())
+
+
+@pytest.mark.parametrize(
+    "sigmas, horizon",
+    [([0.3, 0.9], 3000), ([0.9], 10**8)],  # a normal return, and the early stop
+)
+def test_divergence_probability_joins_the_draw_thread(monkeypatch, sigmas, horizon):
+    monkeypatch.setattr(narma, "_fill_uniform", _slow_fill)
+    monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", 22 * 20 * len(sigmas))
+    before = threading.active_count()
+    out = divergence_probability(Narma10Config(), sigmas, n_seeds=20, horizon=horizon, seed=2)
+    assert out[-1] == (0.9, 0.0)
+    _assert_no_draw_thread(before)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("batch"), KeyboardInterrupt()])
+def test_batch_failure_joins_the_draw_thread(monkeypatch, exc):
+    monkeypatch.setattr(narma, "_fill_uniform", _slow_fill)
+    monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", 22 * 40)
+    real_batch = narma._narma_batch
+    calls = []
+
+    def failing_batch(config, init, u_blocks, horizon):
+        def failing_blocks(t0, t1, cols):
+            calls.append(t0)
+            if len(calls) > 3:
+                raise exc
+            return u_blocks(t0, t1, cols)
+
+        return real_batch(config, init, failing_blocks, horizon)
+
+    monkeypatch.setattr(narma, "_narma_batch", failing_batch)
+    before = threading.active_count()
+    with pytest.raises(type(exc)) as raised:
+        divergence_probability(Narma10Config(), [0.3, 0.5], n_seeds=20, horizon=3000)
+    assert raised.value is exc and len(calls) == 4
+    _assert_no_draw_thread(before)
+
+
+@pytest.mark.parametrize("fills", [0, 3])
+def test_draw_thread_failure_is_raised_by_the_caller(monkeypatch, fills):
+    exc = MemoryError("draw")
+    made = []
+
+    def failing_fill(rng, out):
+        made.append(threading.current_thread().name)
+        if len(made) > fills:
+            raise exc
+        _FILL_UNIFORM(rng, out)
+
+    monkeypatch.setattr(narma, "_fill_uniform", failing_fill)
+    monkeypatch.setattr(narma, "_BLOCK_ELEMENTS", 22 * 40)
+    before = threading.active_count()
+    with pytest.raises(MemoryError) as raised:
+        divergence_probability(Narma10Config(), [0.3, 0.5], n_seeds=20, horizon=3000)
+    assert raised.value is exc
+    assert set(made) == {"ipcap-draw"}
+    _assert_no_draw_thread(before)
+
+
+def test_divergence_probability_starts_the_draw_thread_only_with_columns(monkeypatch):
+    started = []
+    real_worker = narma._draw_worker
+
+    def recording_worker(*args):
+        started.append(threading.current_thread().name)
+        real_worker(*args)
+
+    monkeypatch.setattr(narma, "_draw_worker", recording_worker)
+    assert divergence_probability(Narma10Config(), [], horizon=1000) == []
+    assert started == []
+    divergence_probability(Narma10Config(), [0.3], n_seeds=2, horizon=1000)
+    assert started == ["ipcap-draw"]

@@ -1,46 +1,56 @@
-"""Compare every capacity preset between two source trees, at full scale.
+"""Compare presets between two source trees, at full scale.
 
 Usage (from anywhere, each argument the directory that holds `ipcap`):
 
     python tools/compare_presets.py PARENT_SRC CHANGE_SRC [PRESET ...]
 
-Each preset runs once per tree, each run in its own process at one BLAS
-thread, the two trees one after the other. Per preset the table shows
-whether the kept sets, the skip lists (order included) and the ranks are
-equal, the largest |raw capacity difference| over the targets, and the
+Without PRESET names it runs every capacity preset; NARMA suite presets
+(`narma_suite`, e.g. fig2b) run when named. Each preset runs once per tree,
+each run in its own process at one BLAS thread, the two trees one after the
+other. For a capacity preset the table shows whether the kept sets, the skip
+lists (order included) and the ranks are equal, and the largest |raw
+capacity difference| over the targets. For a NARMA suite it shows whether
+the two runs wrote the same files with the same bytes. Every row gives the
 seconds and the peak RSS (ru_maxrss, MiB) of each run. The exit status is 1
-if any decision, skip or rank differs, or if a raw capacity moves by more
-than 1e-12; otherwise 0.
+if any decision, skip or rank differs, if a raw capacity moves by more than
+1e-12, or if a NARMA suite's output files differ in any byte; otherwise 0.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 RAW_BOUND = 1e-12
 
-# Runs one preset in a fresh temporary directory and prints its digest.
+# Runs one preset, writing its files into the directory argv[2], and prints
+# its digest.
 _WORKER = """
-import json, resource, sys, tempfile, time
-from ipcap import get_preset, run_ipc, run_tipc
+import json, resource, sys, time
+from ipcap import get_preset, run_ipc, run_narma_suite, run_tipc
 config = get_preset(sys.argv[1])
-with tempfile.TemporaryDirectory() as outdir:
-    t0 = time.perf_counter()
-    report = (run_tipc if config.kind == "tipc" else run_ipc)(config, outdir)
-    seconds = time.perf_counter() - t0
-print(json.dumps({
-    "seconds": seconds,
+runner = {"ipc": run_ipc, "tipc": run_tipc, "narma_suite": run_narma_suite}[config.kind]
+t0 = time.perf_counter()
+report = runner(config, sys.argv[2])
+digest = {
+    "seconds": time.perf_counter() - t0,
     # kilobytes on Linux
     "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "rank": report.rank,
-    "raw": {e.spec: e.raw_capacity for e in report.entries},
-    "kept": sorted(e.spec for e in report.entries if e.thresholded_capacity != 0.0),
-    "skipped": [list(pair) for pair in report.skipped],
-}))
+}
+if config.kind != "narma_suite":
+    digest.update(
+        rank=report.rank,
+        raw={e.spec: e.raw_capacity for e in report.entries},
+        kept=sorted(e.spec for e in report.entries if e.thresholded_capacity != 0.0),
+        skipped=[list(pair) for pair in report.skipped],
+    )
+print(json.dumps(digest))
 """
 
 _LIST = """
@@ -73,6 +83,15 @@ def compare(parent: dict, change: dict) -> dict:
     }
 
 
+def same_files(parent_dir: Path, change_dir: Path) -> bool:
+    """Whether both directories hold the same file names, each with the same bytes."""
+    names = sorted(p.name for p in parent_dir.iterdir())
+    if names != sorted(p.name for p in change_dir.iterdir()):
+        return False
+    _, mismatch, errors = filecmp.cmpfiles(parent_dir, change_dir, names, shallow=False)
+    return not (mismatch or errors)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -86,21 +105,34 @@ def main(argv: list[str]) -> int:
     print(header)
     print("-" * len(header))
     failed = False
-    for name in names:
-        parent = json.loads(_python(parent_src, _WORKER, name))
-        change = json.loads(_python(change_src, _WORKER, name))
-        c = compare(parent, change)
-        bad = not (c["kept"] and c["skipped"] and c["rank"]) or c["max_delta"] > RAW_BOUND
-        failed |= bad
-        same = ["same" if c[key] else "DIFF" for key in ("kept", "skipped", "rank")]
-        print(
-            f"{name:<22} {same[0]:>5} {same[1]:>5} {same[2]:>5} "
-            f"{c['max_delta']:>11.3g} {parent['seconds']:>9.2f} {change['seconds']:>9.2f}"
-            f" {parent['peak_mib']:>10.1f} {change['peak_mib']:>10.1f}"
-            + ("  FAIL" if bad else ""),
-            flush=True,
-        )
-    print("FAIL" if failed else f"OK: no decision flip, every |dRaw| <= {RAW_BOUND:g}")
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in names:
+            outdirs = [Path(scratch, name, side) for side in ("parent", "change")]
+            parent, change = (
+                json.loads(_python(src, _WORKER, name, str(outdir)))
+                for src, outdir in zip((parent_src, change_src), outdirs)
+            )
+            if "raw" in parent:
+                c = compare(parent, change)
+                bad = not (c["kept"] and c["skipped"] and c["rank"]) or c["max_delta"] > RAW_BOUND
+                cells = ["same" if c[key] else "DIFF" for key in ("kept", "skipped", "rank")]
+                cells.append(f"{c['max_delta']:.3g}")
+            else:
+                bad = not same_files(*outdirs)
+                cells = ["-", "-", "-", "files DIFF" if bad else "files same"]
+            failed |= bad
+            print(
+                f"{name:<22} {cells[0]:>5} {cells[1]:>5} {cells[2]:>5} {cells[3]:>11}"
+                f" {parent['seconds']:>9.2f} {change['seconds']:>9.2f}"
+                f" {parent['peak_mib']:>10.1f} {change['peak_mib']:>10.1f}"
+                + ("  FAIL" if bad else ""),
+                flush=True,
+            )
+    print(
+        "FAIL"
+        if failed
+        else f"OK: no decision flip, every |dRaw| <= {RAW_BOUND:g}, every NARMA output file identical"
+    )
     return 1 if failed else 0
 
 
