@@ -84,13 +84,14 @@ def nullclines(
 
 
 # Elements (steps x batch columns) of one input block. It bounds the memory of
-# the input stream, of its precomputed g*u_t*u_{t-9} term and of each of the
-# two full-width draw buffers that divergence_probability's draw thread fills.
+# the input stream, of its precomputed g*u_t*u_{t-9} term, of each of the two
+# full-width draw buffers that divergence_probability's draw thread fills, and
+# of _narma_batch's ring, which is one block deep.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def _block_rows(B: int) -> int:
-    """Steps per input block of a B-column batch: a whole number of ring turns."""
+    """Steps per input block of a B-column batch: a multiple of 11, at least 11."""
     return max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11
 
 
@@ -115,70 +116,69 @@ def _narma_batch(
     where total is the sum of the ten most recent values and u before step 0
     is zero. The input term (g*u_t)*u_{t-9} is precomputed per block.
 
-    Values go into an 11-slot ring, so y_next never overwrites y_{t-9} before
-    it is subtracted: step s writes slot s % 11, and one turn of 11 steps
-    overwrites every slot once. The limit is tested once per turn, over the
-    slots written in that turn (the init values are never tested), and a
-    column's earliest value over the limit gives its divergence step. That is
-    the step a test after every step would give: up to it the column holds
-    exactly the values such a run computes, and a value computed from finite
-    values within the limit is finite, or +-inf, never NaN. A diverged column
-    is set to NaN, which stays NaN and is never over the limit again, and is
-    dropped at the end of the block; the run stops once no column is left.
+    Values go into a ring one block deep, _block_rows(B) slots with the
+    pre-run history in the last 10: step k of a block writes slot k and reads
+    y_t from slot k-1 and y_{t-9} from slot k-10, wrapping below 0. Every block
+    but the last fills the ring exactly, so its values all survive until the
+    limit is tested, once at its end, over the slots written (never the init
+    values). A column's earliest value over the limit is its divergence step,
+    as with a per-step test: up to it the column holds exactly that run's
+    values, and a value computed from finite values within the limit is finite
+    or +-inf, never NaN; a NaN, which the extremes carry, also goes to the
+    exact search. Diverged columns are dropped at the block's end.
     """
-    a, b, g, d = config.alpha, config.beta, config.gamma, config.delta
+    # 0-d float64 arrays skip a per-call conversion; NEP 50 gives the same values
+    a, b, g, d = (np.array(v, dtype=float) for v in (config.alpha, config.beta, config.gamma, config.delta))
     limit = NARMA_DIVERGENCE_LIMIT
-    history = np.ascontiguousarray(init, dtype=float)
-    B = history.shape[1]
+    B = np.shape(init)[1]
     diverged = np.full(B, -1, dtype=np.int64)
     cols = np.arange(B)
-    total = history.sum(axis=0)
-    ring = np.empty((11, B))
-    ring[1:] = history  # y_{t-9} .. y_t before step 0; slot 0 is written first
-    lag = np.zeros((9, B))  # u_{t-9} .. u_{t-1}
     rows = _block_rows(B)
+    ring = np.empty((rows, B))
+    ring[-10:] = init  # y_{t-9} .. y_t before step 0
+    total = ring[-10:].sum(axis=0)
+    lag = np.zeros((9, B))  # u_{t-9} .. u_{t-1}
     c_buf = np.empty(rows * B)
     mul, add, sub = np.multiply, np.add, np.subtract
+    news = None
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while t < horizon and cols.size:
-            t1 = min(t + rows, horizon)
-            U = u_blocks(t, t1, cols)
-            m = min(9, t1 - t)
-            C = c_buf[: U.size].reshape(U.shape)
-            mul(g, U, out=C)
-            mul(C[:m], lag[:m], out=C[:m])
-            mul(C[m:], U[: t1 - t - m], out=C[m:])
+            if news is None:  # views for the live set's width, rebuilt when it shrinks
+                q = np.empty(cols.size)
+                C_full = c_buf[: ring.size].reshape(ring.shape)
+                news, cs = list(ring), list(C_full)  # step k writes slot k
+                ys, olds = news[-1:] + news[:-1], news[-10:] + news[:-10]
+            n = min(rows, horizon - t)
+            U = u_blocks(t, t + n, cols)
+            m = min(9, n)
+            C = C_full[:n]
+            mul(g, U, C)
+            mul(C[:m], lag[:m], C[:m])
+            mul(C[m:], U[: n - m], C[m:])
             lag = U[-9:] if m == 9 else np.concatenate((lag[m:], U))
-            q = np.empty(cols.size)
-            # (y_t, slot written, y_{t-9}) for a step that writes slot k
-            slots = [(ring[k - 1], ring[k], ring[(k + 1) % 11]) for k in range(11)]
-            for j in range(0, t1 - t, 11):
-                turn = C[j : j + 11]
-                for (y, new, old), c in zip(slots, turn):
-                    mul(a, y, out=new)
-                    mul(b, y, out=q)
-                    mul(q, total, out=q)
-                    add(new, q, out=new)
-                    add(new, c, out=new)
-                    add(new, d, out=new)
-                    sub(new, old, out=q)
-                    add(total, q, out=total)
-                written = ring[: len(turn)]
-                top = np.fmax.reduce(written, axis=None)
-                bottom = np.fmin.reduce(written, axis=None)
-                if top > limit or bottom < -limit:
-                    over = np.abs(written) > limit
-                    hit = np.flatnonzero(over.any(axis=0))
-                    diverged[cols[hit]] = t + j + over[:, hit].argmax(axis=0)
-                    ring[:, hit] = np.nan
-                    total[hit] = np.nan
-            t = t1
-            live = diverged[cols] < 0
-            if not live.all():
-                # compress keeps the rows C-contiguous; ring[:, live] would not
-                cols, total = cols[live], total[live]
-                ring, lag = np.compress(live, ring, axis=1), np.compress(live, lag, axis=1)
+            for y, new, old, c in zip(ys, news, olds, cs[:n]):
+                mul(a, y, new)
+                mul(b, y, q)
+                mul(q, total, q)
+                add(new, q, new)
+                add(new, c, new)
+                add(new, d, new)
+                sub(new, old, q)
+                add(total, q, total)
+            written = ring[:n]
+            top, bottom = np.maximum.reduce(written, axis=None), np.minimum.reduce(written, axis=None)
+            if not (top <= limit and bottom >= -limit):
+                over = np.abs(written) > limit
+                hit = over.any(axis=0)
+                if hit.any():
+                    diverged[cols[hit]] = t + over[:, hit].argmax(axis=0)
+                    live = ~hit
+                    # compress keeps the rows C-contiguous; ring[:, live] would not
+                    cols, total = cols[live], total[live]
+                    ring, lag = np.compress(live, ring, axis=1), np.compress(live, lag, axis=1)
+                    news = None
+            t += n
     return diverged
 
 

@@ -216,6 +216,14 @@ class ExperimentConfig:
                     and all(_is_number(v, integral=True) and v >= 1 for v in pair)
                 ):
                     raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
+            # a block yields a target iff degree <= max_delay * max_degree_per_var: what
+            # enumerating its specs would find, without the enumeration's cost
+            per_var = sweep.get("max_degree_per_var", math.inf)
+            if all(degree > max_delay * per_var for degree, max_delay in blocks):
+                raise ConfigError(
+                    f"sweep.degree_blocks: no block yields a target; {list(blocks)} needs some degree"
+                    f" <= max_delay * max_degree_per_var ({per_var})"
+                )
             top = _top_degree(sweep)
             # the input law picks the family; a CSV input has no law and is fitted
             law = None

@@ -429,6 +429,14 @@ MISMATCHED = [
                 input={"distribution": {"kind": "uniform", "params": {"low": 0.0, "high": 1.0}}, "T": 200}
             ),
         ),
+        # a degree-3 multilinear target needs 3 delays; only 2 are allowed
+        (
+            "ipc",
+            capacity_config_text(
+                input={"distribution": {"kind": "bernoulli"}, "T": 2000},
+                sweep={"degree_blocks": [[3, 2]], "max_degree_per_var": 1},
+            ),
+        ),
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
@@ -440,14 +448,35 @@ MISMATCHED = [
         "max_degree_per_var_type", "detrend_harmonics_type", "detrend_harmonics_negative",
         "rank_tol_type", "max_degree_per_var_zero", "hahn_zero_denominator", "fit_degree_below_top",
         "gamma_laguerre_alpha", "gamma_hermite", "poisson_charlier_a", "uniform_low_high",
+        "degree_blocks_without_target",
     ],
 )
-def test_cli_bad_config_exits_2(tmp_path, capsys, command, text):
+def test_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, command, text):
+    def no_run(*args):
+        raise AssertionError("the config must be refused before anything runs")
+
+    monkeypatch.setattr(ipcap.presets, "_input_stream", no_run)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("per_var", [1, 2, 3, None])
+def test_config_refuses_exactly_the_blocks_without_a_target(per_var):
+    # the config's closed form against the sweep's own enumeration
+    for degree in range(1, 8):
+        for max_delay in range(1, 5):
+            sweep = {"family": {"kind": "legendre"}, "degree_blocks": [[degree, max_delay]]}
+            if per_var is not None:
+                sweep["max_degree_per_var"] = per_var
+            payload = json.loads(capacity_config_text(sweep=sweep))
+            if ipcap.presets._sweep_specs(sweep):
+                ExperimentConfig.from_dict(payload)
+            else:
+                with pytest.raises(ConfigError, match="sweep.degree_blocks: no block yields a target"):
+                    ExperimentConfig.from_dict(payload)
 
 
 @pytest.mark.parametrize(

@@ -510,6 +510,62 @@ def test_batch_keeps_the_scalar_rounding_order():
     assert (expected == 9).any() and (expected == 10).any()
 
 
+def _unstopped_column(config, init, u, steps):
+    """One column's values y_0 .. y_{steps-1} by _narma_batch's recurrence, past the limit."""
+    a, b, g, d = config.alpha, config.beta, config.gamma, config.delta
+    y = [np.float64(v) for v in init]
+    total = sum(y)
+    with np.errstate(all="ignore"):
+        for t in range(steps):
+            u_lag = u[t - 9] if t >= 9 else 0.0
+            y_next = ((a * y[-1] + (b * y[-1]) * total) + (g * u[t]) * u_lag) + d
+            total = total + (y_next - y[-10])
+            y.append(y_next)
+    return np.array(y[10:])
+
+
+# 900 columns at the default _BLOCK_ELEMENTS: a 66-step block and a 66-slot ring
+_WIDE = 900
+
+
+def _benign_inputs(steps):
+    return 0.1 + 0.1 * np.random.default_rng(31).uniform(-1.0, 1.0, size=(steps, _WIDE))
+
+
+def test_block_test_finds_a_crossing_at_slot_0_that_overflows_within_the_block():
+    assert narma._block_rows(_WIDE) == 66
+    cfg = Narma10Config()
+    init = np.zeros((10, _WIDE))
+    U = _benign_inputs(300)
+    # y_66 jumps over the limit: step 66 writes slot 0 of the second block
+    U[57, 0], U[66, 0] = 1.0, 2e6 / cfg.gamma
+    y = _unstopped_column(cfg, init[:, 0], U[:, 0], 132)
+    assert np.flatnonzero(np.abs(y) > NARMA_DIVERGENCE_LIMIT)[0] == 66
+    # ... and the column is +-inf, then NaN, before that block ends
+    assert np.isinf(y).any() and np.isnan(y).any()
+    expected = _reference_narma_batch(cfg, init, lambda t0, t1: U[t0:t1], 300)
+    got = _NARMA_BATCH(cfg, init, lambda t0, t1, cols: U[t0:t1, cols], 300)
+    assert np.array_equal(got, expected)
+    assert got[0] == 66 and (got[1:] == -1).all()
+
+
+def test_a_nan_in_the_init_history_survives_and_drops_no_column():
+    cfg = Narma10Config()
+    init = np.zeros((10, _WIDE))
+    init[4, 1] = np.nan
+    U = _benign_inputs(300)
+    widths = []
+
+    def u_blocks(t0, t1, cols):
+        widths.append(cols.size)
+        return U[t0:t1, cols]
+
+    expected = _reference_narma_batch(cfg, init, lambda t0, t1: U[t0:t1], 300)
+    got = _NARMA_BATCH(cfg, init, u_blocks, 300)
+    assert np.array_equal(got, expected) and (expected == -1).all()
+    assert widths == [_WIDE] * 5  # four 66-step blocks and one of 36
+
+
 _FILL_UNIFORM = narma._fill_uniform
 
 

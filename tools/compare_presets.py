@@ -4,8 +4,8 @@ Usage (from anywhere, each argument the directory that holds `ipcap`):
 
     python tools/compare_presets.py PARENT_SRC CHANGE_SRC [PRESET ...]
 
-Without PRESET names it runs every capacity preset; NARMA suite presets
-(`narma_suite`, e.g. fig2b) run when named. Each preset runs once per tree,
+Without PRESET names it runs every bundled preset: each capacity preset and
+each NARMA suite (`narma_suite`, e.g. fig2b). Each preset runs once per tree,
 each run in its own process at one BLAS thread, the two trees one after the
 other. For a capacity preset the table shows whether the kept sets, the skip
 lists (order included) and the ranks are equal, and the largest |raw
@@ -54,8 +54,8 @@ print(json.dumps(digest))
 """
 
 _LIST = """
-from ipcap import get_preset, preset_names
-print("\\n".join(n for n in preset_names() if get_preset(n).kind in ("ipc", "tipc")))
+from ipcap import preset_names
+print("\\n".join(preset_names()))
 """
 
 
