@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -45,9 +45,6 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .polychaos import ChaosSpec, PolynomialFamily, TargetSeries, eval_table
 from .polychaos import _crossed, _fill_product, _fill_target, _time_factor
-
-# rows discarded from the head of every simulated trajectory before analysis
-DEFAULT_WASHOUT = 1000
 
 # Laurent-Massart style tail parameter for the screening bounds; e^-40 per
 # target per surrogate leaves the mis-banding probability negligible even for
@@ -132,12 +129,7 @@ class ThresholdConfig:
         return min(max(k, 1), self.n_surrogates)
 
     def to_dict(self) -> dict:
-        return {
-            "n_surrogates": self.n_surrogates,
-            "significance_pct": self.significance_pct,
-            "factor": self.factor,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .polychaos import PolynomialFamily, eval_table, fit_gram_schmidt
 from .presets import (
     ExperimentConfig,
     _build_state,
+    _system_model,
     get_preset,
     preset_names,
     run_ipc,
@@ -90,7 +91,7 @@ def _cmd_simulate(args) -> int:
     system = {"kind": args.system, **params}
     shaping = InputShaping(mu=args.mu, kappa=args.kappa)
     zeta = sample_stream(DistributionSpec(kind=args.distribution), args.steps, args.seed)
-    state = _build_state(system, zeta, shaping)
+    state = _build_state(args.system, _system_model(system), zeta, shaping)
     out = Path(args.out)
     write_series_csv(out, dict(zip(state.labels, state.data.T)))
     print(f"wrote {out}")

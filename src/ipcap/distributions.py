@@ -288,7 +288,7 @@ class InputShaping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputShaping":
-        return cls(mu=float(d.get("mu", 0.0)), kappa=float(d.get("kappa", 1.0)))
+        return cls(**d)
 
 
 def sample_stream(spec: DistributionSpec, count: int, seed: int) -> np.ndarray:

@@ -3,24 +3,26 @@
 A configuration is a plain dict with blocks: system (what produces the state),
 input (distribution or csv, shaping, length, seed), sweep (chaos enumeration),
 threshold (surrogate significance), output (file names), and, for the
-recurrence analysis suite, an analysis block. The sweep's polynomial family
-follows from the input law (distributions.LAWS); sweep.family may restate it
-or ask for gram_schmidt, and must be given only for a CSV input that should
-not be fitted. The presets name no family: each fig1a preset is one law,
-tagged with the family it picks. Presets are self-contained: every seed is
-pinned and nothing reads the network.
+recurrence analysis suite, an analysis block. SCHEMA declares every key of
+every block once, with its type, default and bound; SYSTEMS does so for each
+system kind. The sweep's polynomial family follows from the input law
+(distributions.LAWS); sweep.family may restate it or ask for gram_schmidt, and
+must be given only for a CSV input that should not be fitted. The presets name
+no family: each fig1a preset is one law, tagged with the family it picks.
+Presets are self-contained: every seed is pinned and nothing reads the network.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .capacity import (
-    DEFAULT_WASHOUT,
     CapacityReport,
     StateMatrix,
     SvdBasis,
@@ -31,6 +33,7 @@ from .capacity import (
 )
 from .distributions import (
     LAWS,
+    _is_real,
     DistributionSpec,
     InputShaping,
     analytic_moments,
@@ -49,6 +52,7 @@ from .narma import (
     simulate_approx_model,
 )
 from .polychaos import (
+    FAMILY_KINDS,
     ChaosSpec,
     PolynomialFamily,
     _crossed,
@@ -58,6 +62,7 @@ from .polychaos import (
 )
 from .reports import write_json, write_report, write_series_csv
 from .systems import (
+    ACTIVATIONS,
     EsnConfig,
     LimitCycleConfig,
     Narma10Config,
@@ -68,91 +73,322 @@ from .systems import (
     train_readout,
 )
 
-_SYSTEM_KEYS = {
-    "esn": {"n_nodes", "spectral_radius", "input_intensity", "activation", "leak", "weight_seed"},
-    "esn_1d": {"rho"},
-    "narma10": {"alpha", "beta", "gamma", "delta", "init"},
-    "limit_cycle": {"omega", "tau", "init"},
-    "external": {"state_csv"},
+
+class Unset(str):
+    """The default of a key that stays unset when left out; the text says what stands in."""
+
+
+REQUIRED = Unset("required")
+
+
+class Key(NamedTuple):
+    """One config key: its type (an entry of _TYPES), its default and the bound on its value.
+
+    default is filled in when the key is left out, unless it is an Unset.
+    bound = (test, text) holds for the value, or for each number in a list.
+    choices are the allowed strings, length is a list's fixed length, keys are
+    a block's own keys, and a nullable key also takes null.
+    """
+
+    type: str
+    default: object = REQUIRED
+    bound: tuple | None = None
+    choices: tuple | None = None
+    length: int | None = None
+    keys: dict | None = None
+    nullable: bool = False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, entry) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(entry, value))
+
+
+# type -> (test of a value, what a value of the type is called)
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "numbers": (lambda v: _is_list(v, _is_real), "a list of numbers"),
+    "integers": (lambda v: _is_list(v, _is_int), "a list of integers"),
+    "names": (lambda v: _is_list(v, lambda x: isinstance(x, str)), "a list of names"),
+    "pairs": (
+        lambda v: _is_list(v, lambda p: _is_list(p, _is_int) and len(p) == 2),
+        "a list of [degree, max_delay] pairs",
+    ),
+    **dict.fromkeys(("mapping", "system", "block"), (lambda v: isinstance(v, dict), "a mapping")),
 }
-_INPUT_KEYS = {"distribution", "csv", "shaping", "T", "seed", "washout"}
-_SWEEP_KEYS = {
-    "family",
-    "degree_blocks",
-    "temporal",
-    "max_degree_per_var",
-    "fit_degree",
-    "detrend_harmonics",
-    "rank_tol",
+
+
+def _declared(owner, *names: str, **keys: Key) -> dict:
+    """Keys for parameters of owner, a dataclass or a function, each with the
+    default that owner declares: names typed by their annotation, keys as given."""
+    params = inspect.signature(owner).parameters
+    typed = {name: Key(params[name].annotation) for name in names}
+    return {name: key._replace(default=params[name].default) for name, key in {**typed, **keys}.items()}
+
+
+def _params(owner, block: dict) -> dict:
+    """The entries of a block that owner, a dataclass or a function, takes as parameters."""
+    names = inspect.signature(owner).parameters
+    return {name: value for name, value in block.items() if name in names}
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda x: x >= low, f">= {low}")
+
+
+_POSITIVE = _at_least(1)
+_COUNT = Key("int", bound=_POSITIVE)
+_SEED = Key("int", 0, _at_least(0))
+_UNIT = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
+# the trace NRMSE of approx_model skips this many steps; its variance needs two more
+_TRACE_SKIP = 30
+
+# system kind -> (what builds its value object from its keys, its keys besides kind)
+SYSTEMS = {
+    "esn": (EsnConfig, _declared(
+        EsnConfig, "n_nodes", "spectral_radius", "input_intensity", "leak",
+        activation=Key("str", choices=ACTIVATIONS), weight_seed=_SEED,
+    )),
+    "esn_1d": (lambda rho: rho, {"rho": Key("float")}),
+    "narma10": (Narma10Config, _declared(
+        Narma10Config, "alpha", "beta", "gamma", "delta", init=Key("numbers", length=10)
+    )),
+    "limit_cycle": (LimitCycleConfig, _declared(
+        LimitCycleConfig, "omega", "tau", init=Key("numbers", length=2)
+    )),
+    "external": (lambda state_csv: state_csv, {"state_csv": Key("str")}),
 }
-_THRESHOLD_KEYS = {"n_surrogates", "significance_pct", "factor", "seed"}
-_OUTPUT_KEYS = {"basename"}
-_ANALYSIS_KEYS = {
-    "fixed_point": set(),
-    "nullclines": {"z10", "w1_min", "w1_max", "count"},
-    "divergence": {"sigmas", "n_seeds", "horizon", "seed", "symmetric"},
-    "basin": {"mode", "a_min", "a_max", "a_count", "b_min", "b_max", "b_count", "max_steps", "sigma", "seed"},
-    "lyapunov": {"sigmas", "T", "M", "n_exponents", "symmetric", "seed"},
-    "nrmse_table": {
-        "rhos", "activations", "n_nodes", "input_intensity", "weight_seed", "sigma", "T", "washout",
-        "train_frac", "seed",
+_SYSTEM_KIND = {"kind": Key("str", choices=tuple(SYSTEMS))}
+
+_ANALYSES = {
+    "fixed_point": {},
+    "nullclines": {
+        "z10": Key("float", Unset("the system's delta")),
+        "w1_min": Key("float", -6.0), "w1_max": Key("float", 6.0), "count": Key("int", 401, _POSITIVE),
     },
-    "approx_model": {"n1", "n2", "sigma", "symmetric", "T", "washout", "trace_len", "seed"},
+    "divergence": {
+        "sigmas": Key("numbers", (0.4, 0.6)),
+        **_declared(divergence_probability, "symmetric", n_seeds=_COUNT, horizon=_COUNT, seed=_SEED),
+    },
+    "basin": {
+        "a_min": Key("float", -6.0), "a_max": Key("float", 6.0), "a_count": Key("int", 200, _POSITIVE),
+        "b_min": Key("float", -6.0), "b_max": Key("float", 6.0), "b_count": Key("int", 200, _POSITIVE),
+        **_declared(
+            basin_scan, "sigma", max_steps=_COUNT, mode=Key("str", choices=("w", "psi_sigma")), seed=_SEED
+        ),
+    },
+    "lyapunov": {
+        "sigmas": Key("numbers", (0.2,)), **_declared(LyapunovConfig, "T", "M", "n_exponents"),
+        "symmetric": Key("bool", False), "seed": _SEED,
+    },
+    "nrmse_table": {
+        "rhos": Key("numbers", (0.95,)), "activations": Key("names", ("tanh",), choices=ACTIVATIONS),
+        **_declared(EsnConfig, "n_nodes", "input_intensity", weight_seed=_SEED),
+        "sigma": Key("float", 0.4), "T": Key("int", 6000, _at_least(2)),
+        "washout": Key("int", 200, _at_least(0)), "seed": _SEED,
+        **_declared(train_readout, train_frac=Key("float", bound=_UNIT)),
+    },
+    "approx_model": {
+        "n1": Key("integers", (1, 2, 3, 10, 11, 12), _POSITIVE), "n2": Key("integers", (1, 2, 3), _POSITIVE),
+        "sigma": Key("float", 0.2), "symmetric": Key("bool", False),
+        "T": Key("int", 100_000, _at_least(2)), "washout": Key("int", 1000, _at_least(0)),
+        "trace_len": Key("int", 1000, _at_least(_TRACE_SKIP + 2)), "seed": _SEED,
+    },
 }
-_KINDS = ("ipc", "tipc", "narma_suite")
-# value types by key name, in whichever block the key appears
-_INT_KEYS = {
-    "T", "seed", "washout", "n_nodes", "weight_seed", "n_surrogates", "count", "n_seeds", "horizon",
-    "a_count", "b_count", "max_steps", "M", "n_exponents", "trace_len", "fit_degree",
-    "max_degree_per_var", "detrend_harmonics",
+
+_CAPACITY_ONLY = Unset("required for ipc and tipc")
+_EITHER = Unset("unset; ipc and tipc need exactly one of distribution and csv")
+SCHEMA = {
+    "name": Key("str", "custom"),
+    "kind": Key("str", choices=("ipc", "tipc", "narma_suite")),
+    "system": Key("system", {"kind": "narma10"}),
+    "input": Key("block", {}, keys={
+        "distribution": Key("block", _EITHER, keys={
+            "kind": Key("str", choices=tuple(LAWS)), "params": Key("mapping", {}),
+        }),
+        "csv": Key("str", _EITHER),
+        "shaping": Key("block", {}, keys=_declared(InputShaping, "mu", "kappa")),
+        "T": Key("int", _CAPACITY_ONLY, _at_least(2)),
+        "seed": _SEED, "washout": Key("int", 1000, _at_least(0)),
+    }),
+    "sweep": Key("block", {}, keys={
+        "family": Key("block", Unset("the input law's family, gram_schmidt for a csv input"), keys={
+            "kind": Key("str", choices=FAMILY_KINDS), "params": Key("mapping", {}),
+        }),
+        "degree_blocks": Key("pairs", _CAPACITY_ONLY, _POSITIVE),
+        "temporal": Key("integers", ()),
+        **_declared(enumerate_chaos, max_degree_per_var=_COUNT._replace(nullable=True)),
+        "fit_degree": _COUNT._replace(default=Unset("the top degree the sweep evaluates")),
+        "detrend_harmonics": Key("int", 2, _at_least(0)),
+        **_declared(decompose, rank_tol=Key("float", bound=_UNIT, nullable=True)),
+    }),
+    "threshold": Key("block", {}, nullable=True, keys=_declared(
+        ThresholdConfig, "n_surrogates", "significance_pct", "factor", seed=_SEED
+    )),
+    "output": Key("block", {}, keys={"basename": Key("str", Unset("the config's name"))}),
+    "analysis": Key("block", {}, keys={
+        name: Key("block", Unset("not run"), keys=keys) for name, keys in _ANALYSES.items()
+    }),
 }
-_REAL_KEYS = {
-    "mu", "kappa", "rho", "spectral_radius", "input_intensity", "leak", "alpha", "beta", "gamma",
-    "delta", "omega", "tau", "significance_pct", "factor", "sigma", "z10", "w1_min", "w1_max",
-    "a_min", "a_max", "b_min", "b_max", "train_frac", "rank_tol",
-}
-# lower bounds of integer keys, in whichever block the key appears
-_MINIMUM = {
-    "seed": 0, "weight_seed": 0, "washout": 0, "detrend_harmonics": 0, "fit_degree": 1,
-    "max_degree_per_var": 1,
-}
-# list-valued keys and the kind of their entries, in whichever block the key appears
-_LIST_KEYS = {
-    "sigmas": "numbers", "rhos": "numbers", "n1": "integers", "n2": "integers",
-    "temporal": "integers", "activations": "names",
-}
 
 
-def _is_number(value, integral: bool = False) -> bool:
-    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+def _value(where: str, key: Key, value):
+    """The value checked against its key, as the config holds it: reals as floats."""
+    if value is None and key.nullable:
+        return None
+    test, called = _TYPES[key.type]
+    if not test(value):
+        raise ConfigError(f"{where}: expected {called}, got {value!r}")
+    if key.type == "block":
+        return _walk(where, key.keys, value)
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    if key.length is not None and len(value) != key.length:
+        raise ConfigError(f"{where}: expected {key.length} values, got {len(value)}")
+    if key.choices is not None and not all(v in key.choices for v in entries):
+        raise ConfigError(f"{where}: must be one of {list(key.choices)}, got {value!r}")
+    numbers = [x for v in entries for x in (v if key.type == "pairs" else [v])]
+    if key.bound is not None and not all(map(key.bound[0], numbers)):
+        raise ConfigError(f"{where}: must be {key.bound[1]}, got {value!r}")
+    if key.type == "float":
+        return float(value)
+    if key.type == "numbers":
+        return [float(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
 
 
-def _is_entry(value, kind: str) -> bool:
-    return isinstance(value, str) if kind == "names" else _is_number(value, kind == "integers")
+def _walk(path: str, keys: dict, given: dict) -> dict:
+    """A block checked against its keys, with every default that is not Unset filled in."""
+    for name in given:
+        if name not in keys:
+            raise ConfigError(f"{path + '.' if path else ''}{name}: unknown key, expected one of {list(keys)}")
+    block = {}
+    for name, key in keys.items():
+        where = f"{path}.{name}" if path else name
+        if name in given:
+            block[name] = _value(where, key, given[name])
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{where}: required")
+        elif not isinstance(key.default, Unset):
+            block[name] = _value(where, key, key.default)
+    return block
 
 
-def _check_keys(block: str, payload, allowed) -> None:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{block}: expected a mapping, got {payload!r}")
-    for key, value in payload.items():
-        if key not in allowed:
-            raise ConfigError(f"{block}: unknown key '{key}'")
-        integral = key in _INT_KEYS
-        if (integral or key in _REAL_KEYS) and not _is_number(value, integral):
-            kind = "an integer" if integral else "a number"
-            raise ConfigError(f"{block}.{key}: expected {kind}, got {value!r}")
-        if key in _MINIMUM and value < _MINIMUM[key]:
-            raise ConfigError(f"{block}.{key}: must be >= {_MINIMUM[key]}, got {value!r}")
-        kind = _LIST_KEYS.get(key)
-        if kind and not (
-            isinstance(value, (list, tuple)) and all(_is_entry(v, kind) for v in value)
-        ):
-            raise ConfigError(f"{block}.{key}: expected a list of {kind}, got {value!r}")
+def _build(path: str, cls, params: dict):
+    """cls(**params), its ParameterError a ConfigError that names the key under path."""
+    try:
+        return cls(**params)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
+def _system_model(system: dict):
+    """The value object of a system block, which this checks: the system's
+    config, rho for esn_1d, the state CSV path for external."""
+    kind = _walk("system", _SYSTEM_KIND, {k: v for k, v in system.items() if k == "kind"})["kind"]
+    build, keys = SYSTEMS[kind]
+    return _build("system", build, _walk("system", keys, {k: v for k, v in system.items() if k != "kind"}))
+
+
+def _check_capacity(inp: dict, sweep: dict, values: dict) -> None:
+    """The cross-key rules of a capacity config; fills the sweep's derived defaults."""
+    if "T" not in inp:
+        raise ConfigError("input.T: required for capacity experiments")
+    if ("distribution" in inp) == ("csv" in inp):
+        raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
+    if "degree_blocks" not in sweep:
+        raise ConfigError("sweep.degree_blocks: a list of [degree, max_delay] pairs required")
+    blocks = sweep["degree_blocks"]
+    # a block yields a target iff degree <= max_delay * max_degree_per_var: what
+    # enumerating its specs would find, without the enumeration's cost
+    per_var = math.inf if sweep["max_degree_per_var"] is None else sweep["max_degree_per_var"]
+    if all(degree > max_delay * per_var for degree, max_delay in blocks):
+        raise ConfigError(
+            f"sweep.degree_blocks: no block yields a target; {list(blocks)} needs some degree"
+            f" <= max_delay * max_degree_per_var ({per_var})"
+        )
+    top = min(max(degree for degree, _ in blocks), per_var)
+    sweep.setdefault("fit_degree", top)
+    # the input law picks the family; a CSV input has no law and is fitted
+    law = None
+    if "distribution" in inp:
+        law = _build("input.distribution", DistributionSpec, inp["distribution"])
+        values["input.distribution"] = law
+        inp["distribution"] = law.to_dict()
+    derived = law.family if law else {"kind": "gram_schmidt", "params": {}}
+    family = sweep["family"] if "family" in sweep else derived
+    fitted = family["kind"] == "gram_schmidt"
+    # a law on P points carries orthogonal polynomials up to degree P - 1
+    # only. Krawtchouk's higher degrees vanish on its support instead,
+    # and the sweep skips their targets as degenerate.
+    needed = max(top, sweep["fit_degree"]) if fitted else top
+    points = law.support_points if law else math.inf
+    if needed >= points and family["kind"] != "krawtchouk":
+        key = "max_degree_per_var" if top >= points else "fit_degree"
+        raise ConfigError(
+            f"sweep.{key}: input.distribution {law.kind} has {points:.0f} support points, so no"
+            f" basis orthogonal under it goes past degree {points - 1:.0f}, but the sweep"
+            f" {'evaluates' if top >= points else 'fits'} degree {needed}"
+        )
+    if fitted:
+        # fitted to the input stream at run time; it takes no parameters
+        if family["params"]:
+            raise ConfigError(f"sweep.family.params: unknown key '{next(iter(family['params']))}'")
+        if sweep["fit_degree"] < top:
+            raise ConfigError(
+                f"sweep.fit_degree: must be >= {top}, the top degree the sweep"
+                f" evaluates, got {sweep['fit_degree']}"
+            )
+        sweep["family"], values["sweep.family"] = {"kind": "gram_schmidt", "params": {}}, None
+        return
+    chosen = _build("sweep.family", PolynomialFamily, family)
+    _build("sweep.family", _recurrence, {"family": chosen, "max_degree": top})
+    if law and (chosen.kind, chosen.params) != (derived["kind"], derived["params"]):
+        raise ConfigError(
+            f"sweep.family: {chosen.kind} {chosen.params} is not orthogonal under"
+            f" input.distribution {law.kind} {law.params}, whose family is"
+            f" {derived['kind']} {derived['params']}; omit sweep.family or use gram_schmidt"
+        )
+    sweep["family"], values["sweep.family"] = {"kind": chosen.kind, "params": chosen.params}, chosen
+
+
+def _check_suite(system: dict, analysis: dict, values: dict) -> None:
+    """The cross-key rules of a narma_suite config; fills the analyses' derived defaults."""
+    if not analysis:
+        raise ConfigError("analysis: required for narma_suite experiments")
+    if system["kind"] != "narma10":
+        raise ConfigError(f"system.kind: narma_suite requires 'narma10', got {system['kind']!r}")
+    if values["system"].beta == 0.0 and {"fixed_point", "nullclines"} & analysis.keys():
+        raise ConfigError("system.beta: must not be 0 for the fixed_point and nullclines analyses")
+    if "nullclines" in analysis:
+        analysis["nullclines"].setdefault("z10", values["system"].delta)
+    if "lyapunov" in analysis:
+        lyapunov = _params(LyapunovConfig, analysis["lyapunov"])
+        values["analysis.lyapunov"] = _build("analysis.lyapunov", LyapunovConfig, lyapunov)
+    if "nrmse_table" in analysis:
+        block = analysis["nrmse_table"]
+        esn = _params(EsnConfig, block)
+        values["analysis.nrmse_table"] = [
+            _build("analysis.nrmse_table", EsnConfig, dict(esn, spectral_radius=rho, activation=activation))
+            for activation in block["activations"]
+            for rho in block["rhos"]
+        ]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see from_dict for the block schema."""
+    """A config that from_dict checked against SCHEMA.
+
+    Each block is a plain dict with every default filled in, except system,
+    which stays as written because reports echo it. values holds the value
+    objects from_dict built from the blocks, by block path; the runners read
+    those.
+    """
 
     name: str
     kind: str
@@ -162,133 +398,31 @@ class ExperimentConfig:
     threshold: dict | None = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigError("config: expected a mapping at top level")
-        allowed = {"name", "kind", "system", "input", "sweep", "threshold", "output", "analysis"}
-        _check_keys("config", payload, allowed)
-        kind = payload.get("kind")
-        if kind not in _KINDS:
-            raise ConfigError(f"kind: must be one of {_KINDS}, got {kind!r}")
-        system = dict(payload.get("system", {}))
-        if system:
-            skind = system.get("kind")
-            if skind not in _SYSTEM_KEYS:
-                raise ConfigError(
-                    f"system.kind: unknown system {skind!r}, expected one of {sorted(_SYSTEM_KEYS)}"
-                )
-            _check_keys("system", {k: v for k, v in system.items() if k != "kind"}, _SYSTEM_KEYS[skind])
-            if skind == "external" and "state_csv" not in system:
-                raise ConfigError("system.state_csv: required for external state")
-        inp = dict(payload.get("input", {}))
-        _check_keys("input", inp, _INPUT_KEYS)
-        _check_keys("input.shaping", inp.get("shaping", {}), {"mu", "kappa"})
-        sweep = dict(payload.get("sweep", {}))
-        _check_keys("sweep", sweep, _SWEEP_KEYS)
-        threshold = payload.get("threshold", {})
-        if threshold is not None:
-            threshold = dict(threshold)
-            _check_keys("threshold", threshold, _THRESHOLD_KEYS)
-        output = dict(payload.get("output", {}))
-        _check_keys("output", output, _OUTPUT_KEYS)
-        analysis = dict(payload.get("analysis", {}))
-        _check_keys("analysis", analysis, _ANALYSIS_KEYS)
-        for name, block in analysis.items():
-            _check_keys(f"analysis.{name}", block, _ANALYSIS_KEYS[name])
-        if kind in ("ipc", "tipc"):
-            if not system:
-                raise ConfigError("system: required for capacity experiments")
-            if "T" not in inp:
-                raise ConfigError("input.T: required for capacity experiments")
-            if ("distribution" in inp) == ("csv" in inp):
-                raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
-            blocks = sweep.get("degree_blocks")
-            if not blocks or not isinstance(blocks, (list, tuple)):
-                raise ConfigError(
-                    f"sweep.degree_blocks: a list of [degree, max_delay] pairs required, got {blocks!r}"
-                )
-            for pair in blocks:
-                if not (
-                    isinstance(pair, (list, tuple))
-                    and len(pair) == 2
-                    and all(_is_number(v, integral=True) and v >= 1 for v in pair)
-                ):
-                    raise ConfigError(f"sweep.degree_blocks: bad entry {pair!r}")
-            # a block yields a target iff degree <= max_delay * max_degree_per_var: what
-            # enumerating its specs would find, without the enumeration's cost
-            per_var = sweep.get("max_degree_per_var", math.inf)
-            if all(degree > max_delay * per_var for degree, max_delay in blocks):
-                raise ConfigError(
-                    f"sweep.degree_blocks: no block yields a target; {list(blocks)} needs some degree"
-                    f" <= max_delay * max_degree_per_var ({per_var})"
-                )
-            top = _top_degree(sweep)
-            # the input law picks the family; a CSV input has no law and is fitted
-            law = None
-            if "distribution" in inp:
-                _check_keys("input.distribution", inp["distribution"], {"kind", "params"})
-                try:
-                    law = DistributionSpec.from_dict(inp["distribution"])
-                except ParameterError as exc:
-                    raise ConfigError(f"input.distribution: {exc}") from None
-            derived = law.family if law else {"kind": "gram_schmidt", "params": {}}
-            family = sweep.get("family", derived)
-            _check_keys("sweep.family", family, {"kind", "params"})
-            fitted = family.get("kind") == "gram_schmidt"
-            # a law on P points carries orthogonal polynomials up to degree P - 1
-            # only. Krawtchouk's higher degrees vanish on its support instead,
-            # and the sweep skips their targets as degenerate.
-            needed = max(top, sweep.get("fit_degree", top)) if fitted else top
-            points = law.support_points if law else math.inf
-            if needed >= points and family.get("kind") != "krawtchouk":
-                key = "max_degree_per_var" if top >= points else "fit_degree"
-                raise ConfigError(
-                    f"sweep.{key}: input.distribution {law.kind} has {points:.0f} support points, so no"
-                    f" basis orthogonal under it goes past degree {points - 1:.0f}, but the sweep"
-                    f" {'evaluates' if top >= points else 'fits'} degree {needed}"
-                )
-            if fitted:
-                # fitted to the input stream at run time; it takes no parameters
-                _check_keys("sweep.family.params", family.get("params", {}), set())
-                if sweep.get("fit_degree", top) < top:
-                    raise ConfigError(
-                        f"sweep.fit_degree: must be >= {top}, the top degree the sweep"
-                        f" evaluates, got {sweep['fit_degree']}"
-                    )
-                sweep["family"] = {"kind": "gram_schmidt", "params": {}}
-            else:
-                chosen = PolynomialFamily(kind=family.get("kind"), params=family.get("params", {}))
-                _recurrence(chosen, top)
-                if law and (chosen.kind, chosen.params) != (derived["kind"], derived["params"]):
-                    raise ConfigError(
-                        f"sweep.family: {chosen.kind} {chosen.params} is not orthogonal under"
-                        f" input.distribution {law.kind} {law.params}, whose family is"
-                        f" {derived['kind']} {derived['params']}; omit sweep.family or use gram_schmidt"
-                    )
-                sweep["family"] = {"kind": chosen.kind, "params": chosen.params}
-        if kind == "narma_suite" and not analysis:
-            raise ConfigError("analysis: required for narma_suite experiments")
-        return cls(
-            name=str(payload.get("name", "custom")),
-            kind=kind,
-            system=system,
-            input=inp,
-            sweep=sweep,
-            threshold=threshold,
-            output=output,
-            analysis=analysis,
-        )
+        blocks = _walk("", SCHEMA, payload)
+        capacity = blocks["kind"] != "narma_suite"
+        if capacity and "system" not in payload:
+            raise ConfigError("system: required for capacity experiments")
+        threshold = blocks["threshold"]
+        values = {
+            "system": _system_model(blocks["system"]),
+            "input.shaping": InputShaping(**blocks["input"]["shaping"]),
+            "threshold": None if threshold is None else _build("threshold", ThresholdConfig, threshold),
+        }
+        if capacity:
+            _check_capacity(blocks["input"], blocks["sweep"], values)
+        else:
+            _check_suite(blocks["system"], blocks["analysis"], values)
+        blocks["output"].setdefault("basename", blocks["name"])
+        return cls(**blocks, values=values)
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "kind": self.kind}
-        for key in ("system", "input", "sweep", "output", "analysis"):
-            block = getattr(self, key)
-            if block:
-                out[key] = block
-        out["threshold"] = self.threshold
-        return out
+        return {key: getattr(self, key) for key in SCHEMA}
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +435,40 @@ _FIG2A_BLOCKS = ((1, 30), (2, 30), (3, 12), (4, 6), (5, 5), (6, 4))
 _INTEGRITY_BLOCKS = ((1, 60), (2, 30), (3, 12))
 
 _DEFAULT_THRESHOLD = {"n_surrogates": 200, "significance_pct": 1.0, "factor": 2.0, "seed": 7}
+
+
+def _capacity_preset(name: str, kind: str, system: dict, inp: dict, sweep: dict) -> dict:
+    """A capacity preset with the default surrogate threshold, writing <name>.json and .csv."""
+    return {
+        "name": name,
+        "kind": kind,
+        "system": system,
+        "input": inp,
+        "sweep": sweep,
+        "threshold": dict(_DEFAULT_THRESHOLD),
+        "output": {"basename": name},
+    }
+
+
+def _input(law: dict, mu: float, kappa: float, T: int, washout: int, seed: int) -> dict:
+    return {
+        "distribution": law,
+        "shaping": {"mu": mu, "kappa": kappa},
+        "T": T,
+        "washout": washout,
+        "seed": seed,
+    }
+
+
+def _suite_preset(name: str, **analysis: dict) -> dict:
+    """A recurrence-analysis preset on the default NARMA10 system."""
+    return {
+        "name": name,
+        "kind": "narma_suite",
+        "system": {"kind": "narma10"},
+        "analysis": analysis,
+        "output": {"basename": name},
+    }
 
 
 def _fig1a_preset(law: str, seed: int, **sweep_extra) -> dict:
@@ -316,23 +484,9 @@ def _fig1a_preset(law: str, seed: int, **sweep_extra) -> dict:
     kappa = 0.3 / math.sqrt(var)
     family = LAWS[law].family
     name = f"fig1a_{law if family == 'gram_schmidt' else family}"
-    sweep = {"degree_blocks": _FIG1A_BLOCKS}
-    sweep.update(sweep_extra)
-    return {
-        "name": name,
-        "kind": "ipc",
-        "system": {"kind": "esn_1d", "rho": 0.95},
-        "input": {
-            "distribution": spec.to_dict(),
-            "shaping": {"mu": -kappa * mean, "kappa": kappa},
-            "T": 100_000,
-            "washout": 1000,
-            "seed": seed,
-        },
-        "sweep": sweep,
-        "threshold": dict(_DEFAULT_THRESHOLD),
-        "output": {"basename": name},
-    }
+    inp = _input(spec.to_dict(), -kappa * mean, kappa, T=100_000, washout=1000, seed=seed)
+    sweep = {"degree_blocks": _FIG1A_BLOCKS, **sweep_extra}
+    return _capacity_preset(name, "ipc", {"kind": "esn_1d", "rho": 0.95}, inp, sweep)
 
 
 def _build_presets() -> dict[str, dict]:
@@ -350,53 +504,27 @@ def _build_presets() -> dict[str, dict]:
     fig1a.append(_fig1a_preset("bernoulli", seed=124, **multilinear))
     p: dict[str, dict] = {preset["name"]: preset for preset in fig1a}
 
-    p["fig1b_limit_cycle"] = {
-        "name": "fig1b_limit_cycle",
-        "kind": "tipc",
-        "system": {"kind": "limit_cycle", "omega": 2.0 * math.pi / 3.0, "tau": 0.1},
-        "input": {
-            "distribution": {"kind": "uniform"},
-            "shaping": {"mu": 0.2, "kappa": 1.5},
-            # 90000 is a multiple of the 30-step drive period, so the
-            # harmonic sits exactly on DFT bin 3000
-            "T": 90_000,
-            "washout": 1000,
-            "seed": 131,
-        },
-        "sweep": {
-            "degree_blocks": _FIG1B_BLOCKS,
-            "temporal": [3000],
-            "detrend_harmonics": 2,
-        },
-        "threshold": dict(_DEFAULT_THRESHOLD),
-        "output": {"basename": "fig1b_limit_cycle"},
-    }
-
-    for tag, shaping in [
-        ("symmetric", {"mu": 0.0, "kappa": 0.2}),
-        ("asymmetric", {"mu": 0.1, "kappa": 0.1}),
-    ]:
-        name = f"fig2a_{tag}"
-        p[name] = {
-            "name": name,
-            "kind": "ipc",
-            "system": {"kind": "narma10"},
-            "input": {
-                "distribution": {"kind": "uniform"},
-                "shaping": shaping,
-                "T": 100_000,
-                "washout": 1000,
-                "seed": 141,
-            },
-            "sweep": {"degree_blocks": _FIG2A_BLOCKS},
-            "threshold": dict(_DEFAULT_THRESHOLD),
-            "output": {"basename": name},
-        }
-
-    p["integrity_esn50"] = {
-        "name": "integrity_esn50",
-        "kind": "ipc",
-        "system": {
+    p["fig1b_limit_cycle"] = _capacity_preset(
+        "fig1b_limit_cycle",
+        "tipc",
+        {"kind": "limit_cycle", "omega": 2.0 * math.pi / 3.0, "tau": 0.1},
+        # 90000 is a multiple of the 30-step drive period, so the
+        # harmonic sits exactly on DFT bin 3000
+        _input({"kind": "uniform"}, 0.2, 1.5, T=90_000, washout=1000, seed=131),
+        {"degree_blocks": _FIG1B_BLOCKS, "temporal": [3000], "detrend_harmonics": 2},
+    )
+    for tag, mu, kappa in (("symmetric", 0.0, 0.2), ("asymmetric", 0.1, 0.1)):
+        p[f"fig2a_{tag}"] = _capacity_preset(
+            f"fig2a_{tag}",
+            "ipc",
+            {"kind": "narma10"},
+            _input({"kind": "uniform"}, mu, kappa, T=100_000, washout=1000, seed=141),
+            {"degree_blocks": _FIG2A_BLOCKS},
+        )
+    p["integrity_esn50"] = _capacity_preset(
+        "integrity_esn50",
+        "ipc",
+        {
             "kind": "esn",
             "n_nodes": 50,
             "spectral_radius": 0.9,
@@ -404,137 +532,84 @@ def _build_presets() -> dict[str, dict]:
             "activation": "linear",
             "weight_seed": 1,
         },
-        "input": {
-            "distribution": {"kind": "uniform"},
-            "shaping": {"mu": 0.0, "kappa": 1.0},
+        _input({"kind": "uniform"}, 0.0, 1.0, T=100_000, washout=1000, seed=151),
+        # the state matrix is Krylov-conditioned: singular values reach the
+        # roundoff floor near direction 48; keep everything that is clearly
+        # above it
+        {"degree_blocks": _INTEGRITY_BLOCKS, "rank_tol": 1e-13},
+    )
+    p["esn1d_tipc_null"] = _capacity_preset(
+        "esn1d_tipc_null",
+        "tipc",
+        {"kind": "esn_1d", "rho": 0.95},
+        _input({"kind": "uniform"}, 0.0, 0.3, T=20_000, washout=500, seed=161),
+        {"degree_blocks": ((1, 5), (2, 5)), "temporal": [7], "detrend_harmonics": 1},
+    )
+
+    p["fig2b"] = _suite_preset(
+        "fig2b",
+        divergence={
+            "sigmas": [round(0.1 * k, 1) for k in range(1, 10)],
+            "n_seeds": 100,
+            "horizon": 1_000_000,
+            "seed": 5,
+        },
+    )
+    p["fig3"] = _suite_preset(
+        "fig3",
+        nrmse_table={
+            "rhos": [0.2, 0.6, 0.95, 1.2],
+            "activations": ["linear", "tanh", "leaky_tanh"],
+            "n_nodes": 50,
+            "input_intensity": 0.1,
+            "weight_seed": 3,
+            "sigma": 0.4,
+            "T": 6000,
+            "washout": 200,
+            "train_frac": 0.5,
+            "seed": 21,
+        },
+    )
+    p["figA1_basin"] = _suite_preset(
+        "figA1_basin",
+        fixed_point={},
+        nullclines={"z10": 0.1, "w1_min": -6.0, "w1_max": 6.0, "count": 401},
+        basin={
+            "mode": "w",
+            "a_min": -6.0,
+            "a_max": 6.0,
+            "a_count": 200,
+            "b_min": -6.0,
+            "b_max": 6.0,
+            "b_count": 200,
+            "max_steps": 10_000,
+            "sigma": 0.0,
+            "seed": 9,
+        },
+    )
+    p["figA1_lyapunov"] = _suite_preset(
+        "figA1_lyapunov",
+        lyapunov={
+            "sigmas": [0.1, 0.2, 0.3, 0.4],
+            "T": 6000,
+            "M": 40,
+            "n_exponents": 3,
+            "symmetric": False,
+            "seed": 13,
+        },
+    )
+    p["figA3"] = _suite_preset(
+        "figA3",
+        approx_model={
+            "n1": [1, 2, 3, 10, 11, 12],
+            "n2": [1, 2, 3],
+            "sigma": 0.2,
             "T": 100_000,
             "washout": 1000,
-            "seed": 151,
+            "trace_len": 1000,
+            "seed": 17,
         },
-        "sweep": {
-            "degree_blocks": _INTEGRITY_BLOCKS,
-            # the state matrix is Krylov-conditioned: singular values reach
-            # the roundoff floor near direction 48; keep everything that is
-            # clearly above it
-            "rank_tol": 1e-13,
-        },
-        "threshold": dict(_DEFAULT_THRESHOLD),
-        "output": {"basename": "integrity_esn50"},
-    }
-
-    p["esn1d_tipc_null"] = {
-        "name": "esn1d_tipc_null",
-        "kind": "tipc",
-        "system": {"kind": "esn_1d", "rho": 0.95},
-        "input": {
-            "distribution": {"kind": "uniform"},
-            "shaping": {"mu": 0.0, "kappa": 0.3},
-            "T": 20_000,
-            "washout": 500,
-            "seed": 161,
-        },
-        "sweep": {
-            "degree_blocks": ((1, 5), (2, 5)),
-            "temporal": [7],
-            "detrend_harmonics": 1,
-        },
-        "threshold": dict(_DEFAULT_THRESHOLD),
-        "output": {"basename": "esn1d_tipc_null"},
-    }
-
-    p["fig2b"] = {
-        "name": "fig2b",
-        "kind": "narma_suite",
-        "system": {"kind": "narma10"},
-        "analysis": {
-            "divergence": {
-                "sigmas": [round(0.1 * k, 1) for k in range(1, 10)],
-                "n_seeds": 100,
-                "horizon": 1_000_000,
-                "seed": 5,
-            }
-        },
-        "output": {"basename": "fig2b"},
-    }
-
-    p["fig3"] = {
-        "name": "fig3",
-        "kind": "narma_suite",
-        "system": {"kind": "narma10"},
-        "analysis": {
-            "nrmse_table": {
-                "rhos": [0.2, 0.6, 0.95, 1.2],
-                "activations": ["linear", "tanh", "leaky_tanh"],
-                "n_nodes": 50,
-                "input_intensity": 0.1,
-                "weight_seed": 3,
-                "sigma": 0.4,
-                "T": 6000,
-                "washout": 200,
-                "train_frac": 0.5,
-                "seed": 21,
-            }
-        },
-        "output": {"basename": "fig3"},
-    }
-
-    p["figA1_basin"] = {
-        "name": "figA1_basin",
-        "kind": "narma_suite",
-        "system": {"kind": "narma10"},
-        "analysis": {
-            "fixed_point": {},
-            "nullclines": {"z10": 0.1, "w1_min": -6.0, "w1_max": 6.0, "count": 401},
-            "basin": {
-                "mode": "w",
-                "a_min": -6.0,
-                "a_max": 6.0,
-                "a_count": 200,
-                "b_min": -6.0,
-                "b_max": 6.0,
-                "b_count": 200,
-                "max_steps": 10_000,
-                "sigma": 0.0,
-                "seed": 9,
-            },
-        },
-        "output": {"basename": "figA1_basin"},
-    }
-
-    p["figA1_lyapunov"] = {
-        "name": "figA1_lyapunov",
-        "kind": "narma_suite",
-        "system": {"kind": "narma10"},
-        "analysis": {
-            "lyapunov": {
-                "sigmas": [0.1, 0.2, 0.3, 0.4],
-                "T": 6000,
-                "M": 40,
-                "n_exponents": 3,
-                "symmetric": False,
-                "seed": 13,
-            }
-        },
-        "output": {"basename": "figA1_lyapunov"},
-    }
-
-    p["figA3"] = {
-        "name": "figA3",
-        "kind": "narma_suite",
-        "system": {"kind": "narma10"},
-        "analysis": {
-            "approx_model": {
-                "n1": [1, 2, 3, 10, 11, 12],
-                "n2": [1, 2, 3],
-                "sigma": 0.2,
-                "T": 100_000,
-                "washout": 1000,
-                "trace_len": 1000,
-                "seed": 17,
-            }
-        },
-        "output": {"basename": "figA3"},
-    }
+    )
     return p
 
 
@@ -558,9 +633,8 @@ def _load_csv_matrix(path) -> np.ndarray:
     return np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
 
 
-def _input_stream(config: ExperimentConfig, length: int):
+def _input_stream(config: ExperimentConfig, length: int) -> np.ndarray:
     inp = config.input
-    shaping = InputShaping(**inp.get("shaping", {"mu": 0.0, "kappa": 1.0}))
     if "csv" in inp:
         data = _load_csv_matrix(inp["csv"])
         if data.shape[1] != 1:
@@ -570,28 +644,27 @@ def _input_stream(config: ExperimentConfig, length: int):
             raise ConfigError(
                 f"input.csv: need at least {length} samples, file has {zeta.size}"
             )
-    else:
-        spec = DistributionSpec.from_dict(inp["distribution"])
-        zeta = sample_stream(spec, length, int(inp.get("seed", 0)))
-    return zeta, shape_input(zeta, shaping), shaping
+        return zeta
+    return sample_stream(config.values["input.distribution"], length, inp["seed"])
 
 
-def _build_state(system: dict, zeta: np.ndarray, shaping: InputShaping) -> StateMatrix:
-    """State of a system block driven by the raw input zeta under the given shaping."""
-    kind = system["kind"]
-    params = {k: v for k, v in system.items() if k != "kind"}
+def _build_state(kind: str, model, zeta: np.ndarray, shaping: InputShaping) -> StateMatrix:
+    """State of a system driven by the raw input zeta under the given shaping.
+
+    model is the system block's value object (_system_model).
+    """
     if kind == "esn":
-        return simulate_esn(EsnConfig(**params), shape_input(zeta, shaping))
+        return simulate_esn(model, shape_input(zeta, shaping))
     if kind == "esn_1d":
-        return simulate_1d_esn(float(params["rho"]), shaping, zeta)
+        return simulate_1d_esn(model, shaping, zeta)
     if kind == "narma10":
-        series, diverged_at = simulate_narma10(Narma10Config(shaping=shaping, **params), zeta)
+        series, diverged_at = simulate_narma10(replace(model, shaping=shaping), zeta)
         if diverged_at is not None:
             raise DivergenceError(diverged_at)
         return StateMatrix(series, labels=("y",), meta={"system": "narma10"})
     if kind == "limit_cycle":
-        return simulate_limit_cycle(LimitCycleConfig(shaping=shaping, **params), zeta)
-    state = _load_csv_matrix(system["state_csv"])
+        return simulate_limit_cycle(replace(model, shaping=shaping), zeta)
+    state = _load_csv_matrix(model)
     if state.shape[0] != zeta.size:
         raise DataError(
             f"system.state_csv: has {state.shape[0]} rows, input.T is {zeta.size}; they must be equal"
@@ -600,67 +673,49 @@ def _build_state(system: dict, zeta: np.ndarray, shaping: InputShaping) -> State
 
 
 def _sweep_specs(sweep: dict) -> list[ChaosSpec]:
-    mdpv = sweep.get("max_degree_per_var")
     specs: list[ChaosSpec] = []
     for degree, max_delay in sweep["degree_blocks"]:
         specs.extend(
             enumerate_chaos(
-                int(degree),
-                int(max_delay),
-                min_total_degree=int(degree),
-                max_degree_per_var=mdpv,
+                degree, max_delay, min_total_degree=degree, max_degree_per_var=sweep.get("max_degree_per_var")
             )
         )
     return specs
 
 
-def _top_degree(sweep: dict) -> int:
-    """The highest polynomial degree any target of the sweep evaluates."""
-    return min(max(d for d, _ in sweep["degree_blocks"]), sweep.get("max_degree_per_var", math.inf))
-
-
-def _family_and_stream(sweep: dict, zeta: np.ndarray, u: np.ndarray):
-    fam = sweep["family"]
-    if fam["kind"] == "gram_schmidt":
-        fit_degree = sweep.get("fit_degree", _top_degree(sweep))
-        # data-driven basis is built on the shaped input actually driving
+def _family_and_stream(config: ExperimentConfig, zeta: np.ndarray):
+    family = config.values["sweep.family"]
+    if family is None:
+        # the gram_schmidt basis is built on the shaped input actually driving
         # the system; targets then read the same stream
-        return fit_gram_schmidt(u, fit_degree), u
-    return PolynomialFamily(kind=fam["kind"], params=fam.get("params", {})), zeta
+        u = shape_input(zeta, config.values["input.shaping"])
+        return fit_gram_schmidt(u, config.sweep["fit_degree"]), u
+    return family, zeta
 
 
 def _state_basis(
-    config: ExperimentConfig, zeta: np.ndarray, shaping: InputShaping, washout: int, tipc: bool
+    config: ExperimentConfig, zeta: np.ndarray, washout: int, tipc: bool
 ) -> tuple[SvdBasis, list]:
     """SVD basis of the detrended post-washout state, and the detrend components.
 
     The trajectory and its detrended copy are freed on return, before the sweep.
     """
-    full = _build_state(config.system, zeta, shaping)
+    full = _build_state(config.system["kind"], config.values["system"], zeta, config.values["input.shaping"])
     state = StateMatrix(full.data[washout:], washout=washout, labels=full.labels, meta=full.meta)
-    harmonics = int(config.sweep.get("detrend_harmonics", 2)) if tipc else 0
-    state = detrend(state, harmonics)
-    rank_tol = config.sweep.get("rank_tol")
-    basis = decompose(state, float(rank_tol) if rank_tol is not None else None)
+    state = detrend(state, config.sweep["detrend_harmonics"] if tipc else 0)
+    basis = decompose(state, config.sweep["rank_tol"])
     return basis, state.meta["detrend"]["components"]
 
 
 def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityReport:
-    inp = config.input
-    T = int(inp["T"])
-    washout = int(inp.get("washout", DEFAULT_WASHOUT))
-    if config.system["kind"] == "external":
-        washout = 0
-    length = washout + T
-    zeta, u, shaping = _input_stream(config, length)
-    basis, components = _state_basis(config, zeta, shaping, washout, tipc)
-    family, stream = _family_and_stream(config.sweep, zeta, u)
+    T = config.input["T"]
+    washout = 0 if config.system["kind"] == "external" else config.input["washout"]
+    zeta = _input_stream(config, washout + T)
+    basis, components = _state_basis(config, zeta, washout, tipc)
+    family, stream = _family_and_stream(config, zeta)
     specs = _sweep_specs(config.sweep)
     if tipc:
-        specs = specs + _crossed(specs, config.sweep.get("temporal") or [])
-    threshold = (
-        ThresholdConfig(**config.threshold) if config.threshold is not None else None
-    )
+        specs = specs + _crossed(specs, config.sweep["temporal"])
     meta = {
         "name": config.name,
         "kind": "tipc" if tipc else "ipc",
@@ -671,8 +726,10 @@ def _run_capacity(config: ExperimentConfig, outdir, tipc: bool) -> CapacityRepor
     }
     if tipc:
         meta["detrend"] = components
-    report = capacity_sweep(basis, specs, family, stream, threshold=threshold, meta=meta)
-    base = config.output.get("basename", config.name)
+    report = capacity_sweep(
+        basis, specs, family, stream, threshold=config.values["threshold"], meta=meta
+    )
+    base = config.output["basename"]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_report(report, outdir / f"{base}.json", outdir / f"{base}.csv")
@@ -693,43 +750,31 @@ def run_tipc(config: ExperimentConfig, outdir=".") -> CapacityReport:
     return _run_capacity(config, outdir, tipc=True)
 
 
-def _run_nrmse_table(block: dict, base_cfg: Narma10Config, outdir: Path, basename: str):
-    sigma = float(block.get("sigma", 0.4))
-    T = int(block.get("T", 6000))
-    washout = int(block.get("washout", 200))
-    shaping = InputShaping.asymmetric(sigma)
-    rng_seed = int(block.get("seed", 0))
-    length = washout + T
-    zeta = sample_stream(DistributionSpec(kind="uniform"), length, rng_seed)
-    narma = replace(base_cfg, shaping=shaping)
-    series, diverged_at = simulate_narma10(narma, zeta)
+def _shaping(block: dict, sigma: float) -> InputShaping:
+    return InputShaping.symmetric(sigma) if block["symmetric"] else InputShaping.asymmetric(sigma)
+
+
+def _run_nrmse_table(block: dict, esns: list, base_cfg: Narma10Config, outdir: Path, basename: str):
+    shaping = InputShaping.asymmetric(block["sigma"])
+    washout = block["washout"]
+    zeta = sample_stream(DistributionSpec(kind="uniform"), washout + block["T"], block["seed"])
+    series, diverged_at = simulate_narma10(replace(base_cfg, shaping=shaping), zeta)
     if diverged_at is not None:
         raise DivergenceError(diverged_at)
     target = series[washout:]
     rows = []
-    activations = block.get("activations", ["tanh"])
-    for activation in activations:
-        for rho in block.get("rhos", [0.95]):
-            esn = {
-                "kind": "esn",
-                "n_nodes": int(block.get("n_nodes", 50)),
-                "spectral_radius": float(rho),
-                "input_intensity": float(block.get("input_intensity", 0.1)),
-                "activation": activation,
-                "weight_seed": int(block.get("weight_seed", 0)),
-            }
-            # an unbounded activation past the stability edge blows up;
-            # record the divergence instead of aborting the table
-            try:
-                state = _build_state(esn, zeta, shaping)
-            except DivergenceError as exc:
-                rows.append(
-                    {"activation": activation, "rho": float(rho), "nrmse": None, "diverged_at": exc.step}
-                )
-                continue
-            kept = StateMatrix(state.data[washout:], washout=washout)
-            _, nrmse, _ = train_readout(kept, target, float(block.get("train_frac", 0.5)))
-            rows.append({"activation": activation, "rho": float(rho), "nrmse": nrmse, "diverged_at": None})
+    for esn in esns:
+        row = {"activation": esn.activation, "rho": esn.spectral_radius, "nrmse": None, "diverged_at": None}
+        # an unbounded activation past the stability edge blows up;
+        # record the divergence instead of aborting the table
+        try:
+            state = _build_state("esn", esn, zeta, shaping)
+        except DivergenceError as exc:
+            rows.append({**row, "diverged_at": exc.step})
+            continue
+        kept = StateMatrix(state.data[washout:], washout=washout)
+        _, nrmse, _ = train_readout(kept, target, block["train_frac"])
+        rows.append({**row, "nrmse": nrmse})
     write_series_csv(
         outdir / f"{basename}_nrmse.csv",
         {
@@ -738,7 +783,7 @@ def _run_nrmse_table(block: dict, base_cfg: Narma10Config, outdir: Path, basenam
                 [math.nan if r["nrmse"] is None else r["nrmse"] for r in rows]
             ),
             "activation_index": np.array(
-                [activations.index(r["activation"]) for r in rows], dtype=float
+                [block["activations"].index(r["activation"]) for r in rows], dtype=float
             ),
         },
     )
@@ -746,22 +791,13 @@ def _run_nrmse_table(block: dict, base_cfg: Narma10Config, outdir: Path, basenam
 
 
 def _run_approx_model(block: dict, base_cfg: Narma10Config, outdir: Path, basename: str):
-    sigma = float(block.get("sigma", 0.2))
-    shaping = (
-        InputShaping.symmetric(sigma)
-        if block.get("symmetric", False)
-        else InputShaping.asymmetric(sigma)
-    )
-    cfg = replace(base_cfg, shaping=shaping)
-    n1 = [int(s) for s in block.get("n1", [1, 2, 3, 10, 11, 12])]
-    n2 = [int(s) for s in block.get("n2", [1, 2, 3])]
-    coeffs = approx_model_coeffs(cfg, n1, n2)
+    sigma = block["sigma"]
+    cfg = replace(base_cfg, shaping=_shaping(block, sigma))
+    coeffs = approx_model_coeffs(cfg, block["n1"], block["n2"])
     predicted = coeffs.ipc_prediction()
 
-    T = int(block.get("T", 100_000))
-    washout = int(block.get("washout", 1000))
-    seed = int(block.get("seed", 0))
-    zeta = sample_stream(DistributionSpec(kind="uniform"), washout + T, seed)
+    washout = block["washout"]
+    zeta = sample_stream(DistributionSpec(kind="uniform"), washout + block["T"], block["seed"])
     approx = simulate_approx_model(coeffs, zeta)
     state = detrend(StateMatrix(approx[washout:], washout=washout), 0)
     basis = decompose(state)
@@ -775,17 +811,18 @@ def _run_approx_model(block: dict, base_cfg: Narma10Config, outdir: Path, basena
         threshold=ThresholdConfig(**_DEFAULT_THRESHOLD),
         meta={"name": "approx_model", "sigma": sigma},
     )
-    measured = {e.spec: e.thresholded_capacity for e in report.entries}
+    # a target the sweep skipped has no entry, and no measured capacity
+    measured = dict.fromkeys(predicted, 0.0)
+    measured.update((e.spec, e.thresholded_capacity) for e in report.entries if e.spec in measured)
 
-    trace_len = int(block.get("trace_len", 1000))
-    zeta2 = sample_stream(DistributionSpec(kind="uniform"), trace_len, seed + 1)
+    trace_len = block["trace_len"]
+    zeta2 = sample_stream(DistributionSpec(kind="uniform"), trace_len, block["seed"] + 1)
     true_series, diverged_at = simulate_narma10(cfg, zeta2)
     if diverged_at is not None:
         raise DivergenceError(diverged_at)
     approx_series = simulate_approx_model(coeffs, zeta2)
-    skip = 30
-    resid = approx_series[skip:] - true_series[skip:]
-    denom = float(np.sum((true_series[skip:] - true_series[skip:].mean()) ** 2))
+    resid = approx_series[_TRACE_SKIP:] - true_series[_TRACE_SKIP:]
+    denom = float(np.sum((true_series[_TRACE_SKIP:] - true_series[_TRACE_SKIP:].mean()) ** 2))
     trace_nrmse = math.sqrt(float(resid @ resid) / denom)
     write_series_csv(
         outdir / f"{basename}_trace.csv",
@@ -800,7 +837,7 @@ def _run_approx_model(block: dict, base_cfg: Narma10Config, outdir: Path, basena
         "q": {str(s): v for s, v in coeffs.q.items()},
         "r": {str(s): v for s, v in coeffs.r.items()},
         "predicted_ipc": predicted,
-        "measured_ipc": {k: measured.get(k, 0.0) for k in predicted},
+        "measured_ipc": measured,
         "trace_nrmse": trace_nrmse,
     }
     write_json(outdir / f"{basename}_approx.json", result)
@@ -813,11 +850,8 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
         raise ConfigError(f"kind: expected 'narma_suite' config, got {config.kind!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    basename = config.output.get("basename", config.name)
-    system = config.system or {"kind": "narma10"}
-    if system.get("kind") != "narma10":
-        raise ConfigError(f"system.kind: narma_suite requires 'narma10', got {system.get('kind')!r}")
-    base_cfg = Narma10Config(**{k: v for k, v in system.items() if k != "kind"})
+    basename = config.output["basename"]
+    base_cfg = config.values["system"]
     analysis = config.analysis
     results: dict = {}
     summary: dict = {"name": config.name}
@@ -828,12 +862,8 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
         summary["fixed_point"] = p
     if "nullclines" in analysis:
         block = analysis["nullclines"]
-        w1 = np.linspace(
-            float(block.get("w1_min", -6.0)),
-            float(block.get("w1_max", 6.0)),
-            int(block.get("count", 401)),
-        )
-        kept, n1, n2 = nullclines(base_cfg, float(block.get("z10", base_cfg.delta)), w1)
+        w1 = np.linspace(block["w1_min"], block["w1_max"], block["count"])
+        kept, n1, n2 = nullclines(base_cfg, block["z10"], w1)
         write_series_csv(
             outdir / f"{basename}_nullclines.csv",
             {"w1": kept, "dw1_zero": n1, "dw2_zero": n2},
@@ -841,21 +871,9 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
         results["nullclines"] = (kept, n1, n2)
     if "basin" in analysis:
         block = analysis["basin"]
-        ga = np.linspace(
-            float(block.get("a_min", -6.0)), float(block.get("a_max", 6.0)), int(block.get("a_count", 200))
-        )
-        gb = np.linspace(
-            float(block.get("b_min", -6.0)), float(block.get("b_max", 6.0)), int(block.get("b_count", 200))
-        )
-        grid = basin_scan(
-            base_cfg,
-            ga,
-            gb,
-            max_steps=int(block.get("max_steps", 10_000)),
-            mode=block.get("mode", "w"),
-            sigma=float(block.get("sigma", 0.0)),
-            seed=int(block.get("seed", 0)),
-        )
+        ga = np.linspace(block["a_min"], block["a_max"], block["a_count"])
+        gb = np.linspace(block["b_min"], block["b_max"], block["b_count"])
+        grid = basin_scan(base_cfg, ga, gb, **_params(basin_scan, block))
         rows, cols = np.meshgrid(np.arange(ga.size), np.arange(gb.size), indexing="ij")
         write_series_csv(
             outdir / f"{basename}_basin.csv",
@@ -868,23 +886,16 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
         write_json(
             outdir / f"{basename}_basin_axes.json",
             {
-                "mode": block.get("mode", "w"),
+                "mode": block["mode"],
                 "rows": [float(v) for v in ga],
                 "cols": [float(v) for v in gb],
-                "max_steps": int(block.get("max_steps", 10_000)),
+                "max_steps": block["max_steps"],
             },
         )
         results["basin"] = grid
     if "divergence" in analysis:
         block = analysis["divergence"]
-        curve = divergence_probability(
-            base_cfg,
-            block.get("sigmas", [0.4, 0.6]),
-            n_seeds=int(block.get("n_seeds", 100)),
-            horizon=int(block.get("horizon", 1_000_000)),
-            seed=int(block.get("seed", 0)),
-            symmetric=bool(block.get("symmetric", False)),
-        )
+        curve = divergence_probability(base_cfg, **_params(divergence_probability, block))
         write_series_csv(
             outdir / f"{basename}_divergence.csv",
             {
@@ -896,29 +907,18 @@ def run_narma_suite(config: ExperimentConfig, outdir=".") -> dict:
         summary["divergence"] = [[s, p] for s, p in curve]
     if "lyapunov" in analysis:
         block = analysis["lyapunov"]
-        lcfg = LyapunovConfig(
-            T=int(block.get("T", 6000)),
-            M=int(block.get("M", 40)),
-            n_exponents=int(block.get("n_exponents", 3)),
-        )
+        lcfg = config.values["analysis.lyapunov"]
         rows = []
-        for i, sigma in enumerate(block.get("sigmas", [0.2])):
-            sigma = float(sigma)
-            shaping = (
-                InputShaping.symmetric(sigma)
-                if block.get("symmetric", False)
-                else InputShaping.asymmetric(sigma)
-            )
-            zeta = sample_stream(
-                DistributionSpec(kind="uniform"), lcfg.T + lcfg.M + 16, int(block.get("seed", 0)) + i
-            )
-            exps = lyapunov_spectrum(replace(base_cfg, shaping=shaping), lcfg, zeta)
+        for i, sigma in enumerate(block["sigmas"]):
+            zeta = sample_stream(DistributionSpec(kind="uniform"), lcfg.T + lcfg.M + 16, block["seed"] + i)
+            exps = lyapunov_spectrum(replace(base_cfg, shaping=_shaping(block, sigma)), lcfg, zeta)
             rows.append({"sigma": sigma, "exponents": [float(v) for v in exps]})
         write_json(outdir / f"{basename}_lyapunov.json", {"spectra": rows})
         results["lyapunov"] = rows
         summary["lyapunov"] = rows
     if "nrmse_table" in analysis:
-        rows = _run_nrmse_table(analysis["nrmse_table"], base_cfg, outdir, basename)
+        esns = config.values["analysis.nrmse_table"]
+        rows = _run_nrmse_table(analysis["nrmse_table"], esns, base_cfg, outdir, basename)
         results["nrmse_table"] = rows
         summary["nrmse_table"] = rows
     if "approx_model" in analysis:

@@ -367,6 +367,55 @@ MISMATCHED = [
 ]
 
 
+def capacity_config(**blocks):
+    return json.loads(capacity_config_text(**blocks))
+
+
+def suite_config(system=None, **analysis):
+    return {"name": "bad", "kind": "narma_suite", "system": system or {"kind": "narma10"}, "analysis": analysis}
+
+
+# id -> (command, config, the key its error names)
+NAMED = {
+    "esn_1d_without_rho": ("ipc", capacity_config(system={"kind": "esn_1d"}), "system.rho"),
+    **{
+        f"{kind}_init_{tag}": ("ipc", capacity_config(system={"kind": kind, "init": init}), "system.init")
+        for kind, length in (("narma10", 10), ("limit_cycle", 2))
+        for tag, init in (("text", "abc"), ("length", [0.5] * (length + 1)))
+    },
+    **{
+        f"{name}_symmetric_text": (
+            "narma", suite_config(**{name: {"symmetric": "no"}}), f"analysis.{name}.symmetric"
+        )
+        for name in ("divergence", "approx_model", "lyapunov")
+    },
+    # the divergence block is valid and comes first in the suite; nothing of it may run
+    "suite_lyapunov_M_zero": (
+        "narma",
+        suite_config(divergence={"sigmas": [0.3], "n_seeds": 2, "horizon": 50}, lyapunov={"M": 0}),
+        "analysis.lyapunov.M",
+    ),
+    **{
+        f"input_T_{T}": ("ipc", capacity_config(input={"distribution": {"kind": "uniform"}, "T": T}), "input.T")
+        for T in (0, 1, -5)
+    },
+    # both analyses divide by beta
+    **{
+        f"{name}_beta_zero": (
+            "narma", suite_config({"kind": "narma10", "beta": 0.0}, **{name: {}}), "system.beta"
+        )
+        for name in ("fixed_point", "nullclines")
+    },
+    "nullclines_count_zero": ("narma", suite_config(nullclines={"count": 0}), "analysis.nullclines.count"),
+    **{
+        f"basin_{axis}_count_zero": (
+            "narma", suite_config(basin={f"{axis}_count": 0}), f"analysis.basin.{axis}_count"
+        )
+        for axis in "ab"
+    },
+}
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -437,6 +486,7 @@ MISMATCHED = [
                 sweep={"degree_blocks": [[3, 2]], "max_degree_per_var": 1},
             ),
         ),
+        *[(command, json.dumps(payload)) for command, payload, _ in NAMED.values()],
     ],
     ids=[
         "degree_blocks", "shaping_key", "n_nodes_type", "truncated_json", "analysis_key",
@@ -449,18 +499,28 @@ MISMATCHED = [
         "rank_tol_type", "max_degree_per_var_zero", "hahn_zero_denominator", "fit_degree_below_top",
         "gamma_laguerre_alpha", "gamma_hermite", "poisson_charlier_a", "uniform_low_high",
         "degree_blocks_without_target",
+        *NAMED,
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, command, text):
-    def no_run(*args):
+    def no_run(*args, **kwargs):
         raise AssertionError("the config must be refused before anything runs")
 
     monkeypatch.setattr(ipcap.presets, "_input_stream", no_run)
+    monkeypatch.setattr(ipcap.presets, "divergence_probability", no_run)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
-    assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, key", [case[1:] for case in NAMED.values()], ids=list(NAMED))
+def test_config_error_names_the_key(payload, key):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(payload)
+    assert str(info.value).startswith(f"{key}: ")
 
 
 @pytest.mark.parametrize("per_var", [1, 2, 3, None])

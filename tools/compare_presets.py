@@ -8,12 +8,13 @@ Without PRESET names it runs every bundled preset: each capacity preset and
 each NARMA suite (`narma_suite`, e.g. fig2b). Each preset runs once per tree,
 each run in its own process at one BLAS thread, the two trees one after the
 other. For a capacity preset the table shows whether the kept sets, the skip
-lists (order included) and the ranks are equal, and the largest |raw
-capacity difference| over the targets. For a NARMA suite it shows whether
-the two runs wrote the same files with the same bytes. Every row gives the
-seconds and the peak RSS (ru_maxrss, MiB) of each run. The exit status is 1
-if any decision, skip or rank differs, if a raw capacity moves by more than
-1e-12, or if a NARMA suite's output files differ in any byte; otherwise 0.
+lists (order included), the ranks and the reports' meta and threshold blocks
+are equal, and the largest |raw capacity difference| over the targets. For a
+NARMA suite it shows whether the two runs wrote the same files with the same
+bytes. Every row gives the seconds and the peak RSS (ru_maxrss, MiB) of each
+run. The exit status is 1 if any decision, skip, rank, meta or threshold
+block differs, if a raw capacity moves by more than 1e-12, or if a NARMA
+suite's output files differ in any byte; otherwise 0.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ if config.kind != "narma_suite":
         raw={e.spec: e.raw_capacity for e in report.entries},
         kept=sorted(e.spec for e in report.entries if e.thresholded_capacity != 0.0),
         skipped=[list(pair) for pair in report.skipped],
+        meta=report.meta,
+        threshold=report.threshold_meta,
     )
 print(json.dumps(digest))
 """
@@ -72,13 +75,14 @@ def _python(src: str, code: str, *args: str) -> str:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Equality of decisions, skips and rank, and the largest raw difference."""
+    """Equality of decisions, skips, rank, meta and threshold, and the largest raw difference."""
     old, new = parent["raw"], change["raw"]
     delta = max((abs(old[k] - new[k]) for k in old), default=0.0) if old.keys() == new.keys() else math.inf
     return {
         "kept": parent["kept"] == change["kept"],
         "skipped": parent["skipped"] == change["skipped"],
         "rank": parent["rank"] == change["rank"],
+        "meta": (parent["meta"], parent["threshold"]) == (change["meta"], change["threshold"]),
         "max_delta": delta,
     }
 
@@ -99,7 +103,7 @@ def main(argv: list[str]) -> int:
     parent_src, change_src, *names = argv
     names = names or _python(change_src, _LIST).split()
     header = (
-        f"{'preset':<22} {'kept':>5} {'skips':>5} {'rank':>5} {'max |dRaw|':>11}"
+        f"{'preset':<22} {'kept':>5} {'skips':>5} {'rank':>5} {'meta':>5} {'max |dRaw|':>11}"
         f" {'parent s':>9} {'change s':>9} {'parent MiB':>10} {'change MiB':>10}"
     )
     print(header)
@@ -114,15 +118,16 @@ def main(argv: list[str]) -> int:
             )
             if "raw" in parent:
                 c = compare(parent, change)
-                bad = not (c["kept"] and c["skipped"] and c["rank"]) or c["max_delta"] > RAW_BOUND
-                cells = ["same" if c[key] else "DIFF" for key in ("kept", "skipped", "rank")]
+                same = c["kept"] and c["skipped"] and c["rank"] and c["meta"]
+                bad = not same or c["max_delta"] > RAW_BOUND
+                cells = ["same" if c[key] else "DIFF" for key in ("kept", "skipped", "rank", "meta")]
                 cells.append(f"{c['max_delta']:.3g}")
             else:
                 bad = not same_files(*outdirs)
-                cells = ["-", "-", "-", "files DIFF" if bad else "files same"]
+                cells = ["-", "-", "-", "-", "files DIFF" if bad else "files same"]
             failed |= bad
             print(
-                f"{name:<22} {cells[0]:>5} {cells[1]:>5} {cells[2]:>5} {cells[3]:>11}"
+                f"{name:<22} {cells[0]:>5} {cells[1]:>5} {cells[2]:>5} {cells[3]:>5} {cells[4]:>11}"
                 f" {parent['seconds']:>9.2f} {change['seconds']:>9.2f}"
                 f" {parent['peak_mib']:>10.1f} {change['peak_mib']:>10.1f}"
                 + ("  FAIL" if bad else ""),
@@ -131,7 +136,8 @@ def main(argv: list[str]) -> int:
     print(
         "FAIL"
         if failed
-        else f"OK: no decision flip, every |dRaw| <= {RAW_BOUND:g}, every NARMA output file identical"
+        else f"OK: no decision flip, same meta and threshold, every |dRaw| <= {RAW_BOUND:g},"
+        " every NARMA output file identical"
     )
     return 1 if failed else 0
 
