@@ -7,7 +7,13 @@ Sweeps take targets in prefix order, in batches, and build, project and
 reduce each batch one time tile at a time, so no buffer spans a batch times
 all T steps. A target whose term prefix, or whose pure version, sits in the
 same batch is that row times one more factor, bitwise the product built from
-scratch. Norms and projections are summed over the tiles.
+scratch. Each tile is filled 16 rows at a time, and each 1 MiB block of 16
+rows is reduced in two calls, its squared norms and its sums, while it is
+in L2, with the per-row dot kernel of row @ row. A batch is one such block
+at rank <= 2, where the tile's projection is a matrix-vector product that
+then reads the block from L2 as well, and 256 rows at higher rank, where
+the projection is a GEMM that wants tall batches. Norms and projections are
+summed over the tiles.
 
 Threshold rule: a target is kept iff raw > factor * (k-th largest capacity of
 its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
@@ -25,11 +31,14 @@ they are decided, so it holds no copy of them.
 A thresholded sweep runs the panel on one background thread: borderline
 targets are queued to it while the sweeping thread builds, projects and
 reduces the next tiles, and its decisions are read after it is joined. The
-thread alone draws the permutations, so how the two threads interleave cannot
-change a decision. ipcap starts one other Python thread, the input draw thread
-of narma.divergence_probability; each of the two owns its own generator.
-BLAS thread settings are left as they are, and a sweep without a threshold
-starts no thread.
+thread alone draws the permutations, in index order from one generator, so
+how the two threads interleave cannot change a decision. Where the panel
+projects chunks of draws (rank <= 16), it draws ahead while it holds a
+pending row and no job is waiting, so its first flush finds the stream
+drawn; a sweep that sends it no row draws none. ipcap starts one other
+Python thread, the input draw thread of narma.divergence_probability; each
+of the two owns its own generator. BLAS thread settings are left as they
+are, and a sweep without a threshold starts no thread.
 """
 
 from __future__ import annotations
@@ -59,9 +68,15 @@ _PANEL_COLS = 32
 _PANEL_ROWS = 128
 
 # Time steps per tile of the sweep's batch buffer: one (batch, _TILE) buffer
-# in place of (batch, T), and a 64 KiB tile row stays in L2 between its fill
-# and its reductions.
+# in place of (batch, T).
 _TILE = 8192
+
+# Rows of a tile filled and then reduced together: a (16, _TILE) block is
+# 1 MiB, so it stays in L2 from its fill through its reductions. At rank <= 2
+# a batch is one block, and the tile's projection, a matrix-vector product,
+# reads it from L2 too; at higher rank the projection is a GEMM, which needs
+# the tall default batch.
+_BLOCK_ROWS, _GEMM_BATCH = 16, 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,16 +441,20 @@ def _panel_worker(
     (_PANEL_ROWS, T) pending buffer, so the panel sees the one-pass row, and
     every full buffer goes to _panel_keep, which compacts it in place; the
     next jobs refill it from the top. The thread owns the buffer and the
-    permutations, drawn on first use and shared by every flush. None ends the
-    jobs: the last rows are flushed and the thread returns. Once stop is set,
-    it returns at its next job without deciding anything more. Decisions go
-    into decided, and an exception into failed; the sweep reads both after
-    join.
+    permutations, drawn in index order and shared by every flush. Each is
+    drawn on first use or earlier: while the buffer holds a row and no job
+    waits, the thread draws the next one, where _panel_keep projects chunks
+    of draws. None ends the jobs: the last rows are flushed and the thread
+    returns. Once stop is set, it returns at its next job without deciding
+    anything more. Decisions go into decided, and an exception into failed;
+    the sweep reads both after join.
     """
     try:
         stream, perms = _perm_stream(threshold.seed, basis.T), []
         pending = np.empty((_PANEL_ROWS, basis.T))
         info: list[tuple[str, int, float]] = []
+        # a single-draw panel (cap 1) may stop after a few draws, so it draws none ahead
+        ahead = threshold.n_surrogates if _chunk_cap(basis.rank) > 1 else 0
 
         def perm(i: int) -> np.ndarray:
             while len(perms) <= i:
@@ -449,9 +468,15 @@ def _panel_worker(
                 decided[label] = (order, raw, raw if kept else 0.0)
             info.clear()
 
-        for spec, label, order, raw in iter(jobs.get, None):
+        while True:
+            while info and len(perms) < ahead and jobs.empty():
+                perm(len(perms))
+            job = jobs.get()
+            if job is None:
+                break
             if stop.is_set():
                 return
+            spec, label, order, raw = job
             _fill_target(pending[len(info)], spec, table, start, trig)
             info.append((label, order, raw))
             if len(info) == _PANEL_ROWS:
@@ -505,9 +530,13 @@ def _tiled_raws(
     """Yield (spec, raw capacity, mean of the unit-norm target) for every swept spec.
 
     Specs are taken in prefix order, batch at a time, and each batch is
-    built, projected and reduced one time tile at a time. Specs whose delays
-    do not fit the window, or whose targets are degenerate, are appended to
-    skipped as (spec index, label, reason) instead.
+    built, projected and reduced one time tile at a time. A tile's rows are
+    filled in blocks of _BLOCK_ROWS, each block's squared norms and sums are
+    reduced in one np.vecdot call each while it is in L2, and the tile is
+    then projected in one product. np.vecdot runs the dot kernel of
+    row @ row on each row, so the sums are bitwise the per-row ones. Specs
+    whose delays do not fit the window, or whose targets are degenerate, are
+    appended to skipped as (spec index, label, reason) instead.
     """
     T = basis.T
     # prefix order: each spec after its term prefixes, a temporal one after its pure one
@@ -540,19 +569,19 @@ def _tiled_raws(
             for t0 in range(0, T, width):
                 t1 = min(t0 + width, T)
                 Zt, ones_t = Z[:b, : t1 - t0], ones[: t1 - t0]
-                for j, (_, base, terms, factor) in enumerate(plan):
-                    row = Zt[j]
-                    _fill_product(
-                        row,
-                        terms,
-                        table,
-                        start + t0,
-                        None if factor is None else factor[t0:t1],
-                        None if base is None else Zt[base],
-                    )
-                    # reduced while the row is still in cache
-                    ssq[j] += row @ row
-                    sums[j] += row @ ones_t
+                for g in range(0, b, _BLOCK_ROWS):
+                    blk = slice(g, g + _BLOCK_ROWS)
+                    for j, (_, base, terms, factor) in enumerate(plan[blk], g):
+                        _fill_product(
+                            Zt[j],
+                            terms,
+                            table,
+                            start + t0,
+                            None if factor is None else factor[t0:t1],
+                            None if base is None else Zt[base],
+                        )
+                    ssq[blk] += np.vecdot(Zt[blk], Zt[blk])
+                    sums[blk] += np.vecdot(Zt[blk], ones_t)
                 S += Zt @ basis.P[t0:t1]
         norms = np.sqrt(ssq)
         good = (0.0 < norms) & (norms < math.inf)
@@ -575,7 +604,7 @@ def capacity_sweep(
     zeta: np.ndarray,
     threshold: ThresholdConfig | None = None,
     window: tuple[int, int] | None = None,
-    batch: int = 256,
+    batch: int | None = None,
     meta: dict | None = None,
 ) -> CapacityReport:
     """Capacities of many chaos targets against one decomposed state.
@@ -586,10 +615,13 @@ def capacity_sweep(
     as skipped instead of aborting the sweep. With a threshold, the
     borderline targets go to one panel thread (_panel_worker) while this
     thread sweeps on. That thread is joined before the sweep returns or
-    raises, and an exception raised on it is raised here.
+    raises, and an exception raised on it is raised here. batch, the target
+    rows per batch, defaults to 16 at rank <= 2 and to 256 above.
     """
     if not specs:
         raise ParameterError("specs: sweep needs at least one chaos spec")
+    if batch is None:
+        batch = _BLOCK_ROWS if basis.rank <= 2 else _GEMM_BATCH
     z = np.asarray(zeta, dtype=float).ravel()
     T = basis.T
     start, _ = _sweep_window(specs, z, T, window)

@@ -89,10 +89,14 @@ def nullclines(
 # of _narma_batch's ring, which is one block deep.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Most steps per input block. _narma_batch holds two views per ring slot, which
+# outweigh the slot's values at narrow widths; the cap binds below 60 columns.
+_MAX_BLOCK_ROWS = 1100
+
 
 def _block_rows(B: int) -> int:
-    """Steps per input block of a B-column batch: a multiple of 11, at least 11."""
-    return max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11
+    """Steps per input block of a B-column batch: a multiple of 11, from 11 to _MAX_BLOCK_ROWS."""
+    return min(max(1, _BLOCK_ELEMENTS // max(B, 1) // 11) * 11, _MAX_BLOCK_ROWS)
 
 
 def _narma_batch(

@@ -197,7 +197,8 @@ _ANALYSES = {
     "approx_model": {
         "n1": Key("integers", (1, 2, 3, 10, 11, 12), _POSITIVE), "n2": Key("integers", (1, 2, 3), _POSITIVE),
         "sigma": Key("float", 0.2), "symmetric": Key("bool", False),
-        "T": Key("int", 100_000, _at_least(2)), "washout": Key("int", 1000, _at_least(0)),
+        # the approximate model's state is detrended, which needs 4 steps
+        "T": Key("int", 100_000, _at_least(4)), "washout": Key("int", 1000, _at_least(0)),
         "trace_len": Key("int", 1000, _at_least(_TRACE_SKIP + 2)), "seed": _SEED,
     },
 }
@@ -372,6 +373,17 @@ def _check_suite(system: dict, analysis: dict, values: dict) -> None:
         values["analysis.lyapunov"] = _build("analysis.lyapunov", LyapunovConfig, lyapunov)
     if "nrmse_table" in analysis:
         block = analysis["nrmse_table"]
+        # train_readout fits n_nodes weights on its first round(T * train_frac)
+        # steps and scores them on the rest, which needs 2 steps for a variance
+        T, n_nodes, frac = block["T"], block["n_nodes"], block["train_frac"]
+        split = int(round(T * frac))
+        if T <= n_nodes:
+            raise ConfigError(f"analysis.nrmse_table.T: must be > n_nodes ({n_nodes}), got {T}")
+        if split < n_nodes or T - split < 2:
+            raise ConfigError(
+                f"analysis.nrmse_table.train_frac: {frac} of T = {T} fits on {split} steps and tests"
+                f" on {T - split}; the fit needs >= n_nodes ({n_nodes}) and the test >= 2"
+            )
         esn = _params(EsnConfig, block)
         values["analysis.nrmse_table"] = [
             _build("analysis.nrmse_table", EsnConfig, dict(esn, spectral_radius=rho, activation=activation))

@@ -34,6 +34,7 @@ from ipcap import (
 import ipcap.capacity
 from ipcap.capacity import SvdBasis, _panel_keep, apply_threshold
 from ipcap.distributions import sample_stream
+from ipcap.polychaos import _crossed
 
 
 def unit_target(values):
@@ -521,10 +522,10 @@ def test_panel_compacts_rows_in_place(rank):
     assert peak < phis.nbytes / 2
 
 
-def panel_sweep_case():
+def panel_sweep_case(columns=6):
     """A sweep with a few hundred borderline targets: basis, zeta, specs, threshold."""
     zeta = sample_stream(DistributionSpec(kind="uniform"), 410, seed=71)
-    state = StateMatrix(np.random.default_rng(73).normal(size=(400, 6)))
+    state = StateMatrix(np.random.default_rng(73).normal(size=(400, columns)))
     threshold = ThresholdConfig(n_surrogates=40, significance_pct=10.0, factor=1.0, seed=7)
     return decompose(state), zeta, enumerate_chaos(3, 10), threshold
 
@@ -580,6 +581,85 @@ def test_sweep_decisions_do_not_depend_on_panel_thread_timing(monkeypatch):
         phi = literal_target(by_label[e.spec], family, zeta, 11, 400)[None, :]
         expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
         assert (e.thresholded_capacity != 0.0) == expected, e.spec
+
+
+def counted_perm_stream(monkeypatch, gate=None):
+    """Count the panel's permutation draws; with a gate, the panel thread waits for it first."""
+    real = ipcap.capacity._perm_stream
+    drawn = []
+
+    def counted(seed, T):
+        for p in real(seed, T):
+            drawn.append(None)
+            yield p
+
+    def stream(seed, T):
+        if gate is not None:
+            gate.wait(timeout=10.0)
+        return counted(seed, T)
+
+    monkeypatch.setattr("ipcap.capacity._perm_stream", stream)
+    return drawn
+
+
+@pytest.mark.parametrize("ahead", [True, False])
+@pytest.mark.parametrize("columns", [6, 20])
+def test_sweep_decisions_do_not_depend_on_when_the_panel_draws(monkeypatch, ahead, columns):
+    # ahead: the sweeping thread sleeps 1 ms per row filled, so the panel
+    # thread waits on an empty queue with a row in hand and draws ahead.
+    # Lazily: the panel thread starts only once every job is queued, so it
+    # never finds the queue empty and draws on first use only. Above rank 16
+    # the panel projects one draw at a time and never draws ahead.
+    basis, zeta, specs, threshold = panel_sweep_case(columns)
+    family = PolynomialFamily(kind="legendre")
+    gate = None if ahead else threading.Event()
+    drawn = counted_perm_stream(monkeypatch, gate)
+    at_flush = []
+
+    def recording_panel(basis, perm, phis, raws, threshold):
+        at_flush.append(len(drawn))
+        return _panel_keep(basis, perm, phis, raws, threshold)
+
+    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
+    if ahead:
+        real_fill = ipcap.capacity._fill_product
+
+        def slow_fill(*args):
+            time.sleep(0.001)
+            real_fill(*args)
+
+        monkeypatch.setattr("ipcap.capacity._fill_product", slow_fill)
+    else:
+        real_tiled = ipcap.capacity._tiled_raws
+
+        def tiled_then_open(*args):
+            yield from real_tiled(*args)
+            gate.set()
+
+        monkeypatch.setattr("ipcap.capacity._tiled_raws", tiled_then_open)
+    report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, batch=8)
+    assert len(at_flush) >= 2
+    assert at_flush[0] == (threshold.n_surrogates if ahead and columns < 16 else 0)
+    perms, _, _ = panel_draws(threshold, basis.T)
+    by_label = {spec.label(): spec for spec in specs}
+    for e in report.entries:
+        phi = literal_target(by_label[e.spec], family, zeta, 11, 400)[None, :]
+        expected = full_panel_keep(basis, perms, phi, np.array([e.raw_capacity]), threshold)[0]
+        assert (e.thresholded_capacity != 0.0) == expected, e.spec
+
+
+def test_sweep_without_borderline_targets_draws_no_permutation(monkeypatch):
+    T = 3000
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + 10, seed=109)
+    basis = decompose(StateMatrix(zeta[9 : T + 9]))  # the delay-2 input
+    assert basis.rank == 1
+    drawn = counted_perm_stream(monkeypatch)
+    monkeypatch.setattr("ipcap.capacity._panel_keep", lambda *args: pytest.fail("no row is borderline"))
+    specs = enumerate_chaos(2, 6)
+    report = capacity_sweep(basis, specs, PolynomialFamily(kind="legendre"), zeta, threshold=ThresholdConfig())
+    assert len(report.entries) == len(specs)
+    assert [e.spec for e in report.entries if e.thresholded_capacity] == ["1@2"]
+    assert drawn == []
 
 
 def test_sweep_starts_the_panel_thread_only_with_a_threshold(monkeypatch):
@@ -789,21 +869,34 @@ TILED_SKIPPED = (
 )
 
 
-def tiled_sweep_case():
+def tiled_sweep_case(columns=slice(None)):
     zeta = sample_stream(DistributionSpec(kind="uniform"), 610, seed=97)
     zeta[1::2] = 0.0
     zeta[5] = np.nan
     rng = np.random.default_rng(101)
     lagged = [zeta[11 - s : 611 - s] for s in (1, 2, 3, 4)]
     X = np.column_stack(lagged + [lagged[0] * lagged[2], rng.normal(size=600)])
-    return decompose(StateMatrix(X)), zeta
+    return decompose(StateMatrix(X[:, columns])), zeta
 
 
 @pytest.mark.parametrize("tile", [7, 64])
-@pytest.mark.parametrize("batch", [3, 256])
+@pytest.mark.parametrize("batch", [3, 256, None])
 @pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, significance_pct=10.0, seed=3)])
 def test_tiled_sweep_matches_literal_targets(monkeypatch, tile, batch, threshold):
-    basis, zeta = tiled_sweep_case()
+    check_tiled_sweep(monkeypatch, tiled_sweep_case(), tile, batch, threshold)
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+@pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, significance_pct=10.0, seed=3)])
+def test_tiled_sweep_at_rank_two_matches_literal_targets(monkeypatch, tile, threshold):
+    # the delay-1 input and the noise column: the default batch is 16 rows here, 256 at rank 6
+    case = tiled_sweep_case([0, 5])
+    assert case[0].rank == 2
+    check_tiled_sweep(monkeypatch, case, tile, None, threshold)
+
+
+def check_tiled_sweep(monkeypatch, case, tile, batch, threshold):
+    basis, zeta = case
     family = PolynomialFamily(kind="legendre")
     untiled = capacity_sweep(basis, TILED_SPECS, family, zeta, threshold=threshold, batch=batch)
     monkeypatch.setattr("ipcap.capacity._TILE", tile)
@@ -820,6 +913,59 @@ def test_tiled_sweep_matches_literal_targets(monkeypatch, tile, batch, threshold
     assert decisions == [(e.spec, e.thresholded_capacity != 0.0) for e in untiled.entries]
     if threshold is not None:
         assert 0 < sum(kept for _, kept in decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5])
+def test_tile_blocks_do_not_change_the_raws(monkeypatch, block_rows):
+    # 16 planned rows in one batch of 256: blocks of 1 or of 5, 5, 5 and 1
+    # rows, against the one block of 16 of the default
+    basis, zeta = tiled_sweep_case()
+    family = PolynomialFamily(kind="legendre")
+    monkeypatch.setattr("ipcap.capacity._TILE", 64)
+    whole = capacity_sweep(basis, TILED_SPECS, family, zeta, batch=256)
+    monkeypatch.setattr("ipcap.capacity._BLOCK_ROWS", block_rows)
+    report = capacity_sweep(basis, TILED_SPECS, family, zeta, batch=256)
+    assert report.skipped == whole.skipped == TILED_SKIPPED
+    assert report.entries == whole.entries
+
+
+@pytest.mark.parametrize("width", [7, 64])
+def test_tile_reductions_equal_the_per_row_dots(width):
+    # the sweep reduces a ragged (b, width) view of its (b, _TILE) buffer
+    rng = np.random.default_rng(113)
+    Z = rng.normal(size=(8, 64)) * rng.uniform(0.0, 1e3, size=(8, 1))
+    Z[1] = 0.0
+    Z[2, 3] = np.nan
+    Z[3, 1], Z[4, 2] = np.inf, -np.inf
+    Z[5] = 1e200  # its squares overflow
+    Z[6, :2] = np.inf, -np.inf
+    Zt, ones = Z[:, :width], np.ones(64)[:width]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ssq, sums = np.vecdot(Zt, Zt), np.vecdot(Zt, ones)
+        per_row = [(row @ row, row @ ones) for row in Zt]
+    np.testing.assert_array_equal(ssq.view(np.int64), np.array([a for a, _ in per_row]).view(np.int64))
+    np.testing.assert_array_equal(sums.view(np.int64), np.array([b for _, b in per_row]).view(np.int64))
+
+
+def test_rank_one_raws_do_not_depend_on_the_batch():
+    # Three tiles of 8192 steps, the last one ragged, and no skipped target,
+    # so a target sits at the same row modulo 16 in a batch of 16 or 256. A
+    # rank-1 projection is a matrix-vector product, whose BLAS kernel takes
+    # the rows in small groups: a batch of 3 puts rows in other groups and
+    # rounds their projections differently in the last bits.
+    T = 20_000
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + 10, seed=127)
+    basis = decompose(StateMatrix(np.tanh(zeta[10 : T + 10] + 0.5 * zeta[9 : T + 9])))
+    assert basis.rank == 1
+    specs = enumerate_chaos(3, 6) + _crossed(enumerate_chaos(1, 3), [1, 2])
+    family = PolynomialFamily(kind="legendre")
+    reports = {batch: capacity_sweep(basis, specs, family, zeta, batch=batch) for batch in (3, 16, 256, None)}
+    raws = {batch: {e.spec: e.raw_capacity for e in report.entries} for batch, report in reports.items()}
+    assert len(raws[256]) == len(specs)
+    assert raws[16] == raws[256] == raws[None]
+    assert raws[3].keys() == raws[256].keys()
+    for spec, raw in raws[3].items():
+        assert raw == pytest.approx(raws[256][spec], rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("tile", [7, 64])

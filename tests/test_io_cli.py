@@ -407,6 +407,16 @@ NAMED = {
         for name in ("fixed_point", "nullclines")
     },
     "nullclines_count_zero": ("narma", suite_config(nullclines={"count": 0}), "analysis.nullclines.count"),
+    # detrend needs 4 steps; the readout fits 50 weights and tests on 2 steps at least
+    "approx_model_T_3": ("narma", suite_config(approx_model={"T": 3}), "analysis.approx_model.T"),
+    "nrmse_table_T_40": ("narma", suite_config(nrmse_table={"T": 40}), "analysis.nrmse_table.T"),
+    "nrmse_table_T_50": ("narma", suite_config(nrmse_table={"T": 50}), "analysis.nrmse_table.T"),
+    **{
+        f"nrmse_table_split_{tag}": (
+            "narma", suite_config(nrmse_table={"T": T, "train_frac": frac}), "analysis.nrmse_table.train_frac"
+        )
+        for tag, T, frac in (("fit_short", 80, 0.5), ("test_short", 60, 0.99), ("test_empty", 51, 0.999))
+    },
     **{
         f"basin_{axis}_count_zero": (
             "narma", suite_config(basin={f"{axis}_count": 0}), f"analysis.basin.{axis}_count"
@@ -508,6 +518,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, command, text):
 
     monkeypatch.setattr(ipcap.presets, "_input_stream", no_run)
     monkeypatch.setattr(ipcap.presets, "divergence_probability", no_run)
+    monkeypatch.setattr(ipcap.presets, "_run_nrmse_table", no_run)
+    monkeypatch.setattr(ipcap.presets, "_run_approx_model", no_run)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     assert main([command, "--config", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,27 @@ def test_a_nan_in_the_init_history_survives_and_drops_no_column():
     got = _NARMA_BATCH(cfg, init, u_blocks, 300)
     assert np.array_equal(got, expected) and (expected == -1).all()
     assert widths == [_WIDE] * 5  # four 66-step blocks and one of 36
+
+
+def test_block_rows_cap_binds_only_at_narrow_widths():
+    # fig2b runs 900 columns and figA1_basin 40000 cells; neither block moves
+    assert narma._block_rows(900) == 66 and narma._block_rows(40_000) == 11
+    assert narma._block_rows(100) == 649
+    assert narma._block_rows(1) == narma._block_rows(59) == narma._MAX_BLOCK_ROWS
+    assert narma._MAX_BLOCK_ROWS % 11 == 0
+
+
+def test_one_column_divergence_scan_memory_is_set_by_the_capped_ring():
+    # an uncapped ring is 65 527 slots deep at one column, with two views per
+    # slot: about 20 MiB under tracemalloc, where the capped one takes about 1
+    tracemalloc.start()
+    try:
+        curve = divergence_probability(Narma10Config(), [0.3], n_seeds=1, horizon=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve == [(0.3, 1.0)]
+    assert peak < 4 * 2**20
 
 
 _FILL_UNIFORM = narma._fill_uniform
