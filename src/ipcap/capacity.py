@@ -539,28 +539,28 @@ def _tiled_raws(
     appended to skipped as (spec index, label, reason) instead.
     """
     T = basis.T
+    # Unfit specs are set aside before the batches are cut: a gap in a batch
+    # would shift the rows after it, and a rank-1 GEMV rounds rows by position.
+    for i, spec in enumerate(specs):
+        if start < spec.max_delay:
+            skipped.append((i, spec.label(), f"delay {spec.max_delay} exceeds window start {start}"))
     # prefix order: each spec after its term prefixes, a temporal one after its pure one
     trie_order = sorted(
-        range(len(specs)),
+        (i for i, spec in enumerate(specs) if spec.max_delay <= start),
         key=lambda i: (specs[i].terms, specs[i].temporal is not None, specs[i].temporal),
     )
     width = min(_TILE, T)
-    Z = np.empty((min(batch, len(specs)), width))
+    Z = np.empty((min(batch, len(trie_order)), width))
     ones = np.ones(width)
-    for lo in range(0, len(specs), batch):
+    for lo in range(0, len(trie_order), batch):
         plan = []  # (spec index, ancestor row, terms left to multiply, time factor)
         rows = {}  # (terms, temporal) -> row in plan
         for i in trie_order[lo : lo + batch]:
             spec = specs[i]
-            if start < spec.max_delay:
-                skipped.append((i, spec.label(), f"delay {spec.max_delay} exceeds window start {start}"))
-                continue
             base, depth = _nearest_ancestor(rows, spec)
             rows[spec.terms, spec.temporal] = len(plan)
             factor = trig(*spec.temporal) if spec.temporal is not None else None
             plan.append((i, base, spec.terms[depth:], factor))
-        if not plan:
-            continue
         b = len(plan)
         S, ssq, sums = np.zeros((b, basis.rank)), np.zeros(b), np.zeros(b)
         # Overflow and invalid operations here only arise in rows whose norm

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .distributions import FAMILY_PARAMS, check_params
+from .distributions import LAWS
 from .errors import (
     DegeneracyError,
     DegenerateTargetError,
@@ -26,6 +26,7 @@ from .errors import (
     ShapeError,
     WindowError,
 )
+from .schema import _POSITIVE, Key, parameters
 
 DEFAULT_MAX_DEGREE = 12
 
@@ -49,7 +50,7 @@ class PolynomialFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"kind: unknown polynomial family {self.kind!r}")
-        params = check_params(self.kind, FAMILY_PARAMS.get(self.kind, {}), self.params)
+        params = parameters(_FAMILIES[self.kind][1], self.params)
         object.__setattr__(self, "params", params)
         if self.kind == "gram_schmidt":
             r = np.asarray(self.recurrence, dtype=float)
@@ -121,22 +122,24 @@ def _gram_schmidt(n, f):
     return 1.0, -alpha, beta
 
 
-# kind -> (A_n, B_n, C_n) of step n; the parameters and their bounds are those
-# of the law each family is orthogonal under (distributions.FAMILY_PARAMS). Hahn
-# is checked by type only: its hypergeometric parametrisation takes negative
-# alpha, beta, and _recurrence rejects those that zero a denominator.
-_RECURRENCES = {
-    "hermite": _hermite,
-    "laguerre": _laguerre,
-    "jacobi": _jacobi,
-    "legendre": _legendre,
-    "charlier": _charlier,
-    "krawtchouk": _krawtchouk,
-    "meixner": _meixner,
-    "hahn": _hahn,
-    "gram_schmidt": _gram_schmidt,
+# kind -> ((A_n, B_n, C_n) of step n, the family's parameter Keys). A classical
+# family takes the Keys of the law it is orthogonal under (distributions.LAWS),
+# so it shares the law's names and bounds. Hahn declares its own, whose
+# defaults are the hypergeometric defaults' to_family. It is checked by type
+# only: its hypergeometric parametrisation takes negative alpha, beta, and
+# _recurrence rejects those that zero a denominator.
+_FAMILIES = {
+    "hermite": (_hermite, LAWS["gaussian"].params),
+    "laguerre": (_laguerre, LAWS["gamma"].params),
+    "jacobi": (_jacobi, LAWS["beta"].params),
+    "legendre": (_legendre, LAWS["uniform"].params),
+    "charlier": (_charlier, LAWS["poisson"].params),
+    "krawtchouk": (_krawtchouk, LAWS["binomial"].params),
+    "meixner": (_meixner, LAWS["negative_binomial"].params),
+    "hahn": (_hahn, {"alpha": Key("float", -101.0), "beta": Key("float", -51.0), "n": Key("int", 20, _POSITIVE)}),
+    "gram_schmidt": (_gram_schmidt, {}),
 }
-FAMILY_KINDS = tuple(_RECURRENCES)
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 def _recurrence(family: PolynomialFamily, max_degree: int) -> list[tuple[float, float, float]]:
@@ -149,7 +152,7 @@ def _recurrence(family: PolynomialFamily, max_degree: int) -> list[tuple[float, 
         raise ParameterError(f"degree: must be >= 0, got {max_degree}")
     if max_degree > family.max_degree:
         raise ParameterError(f"degree: {max_degree} exceeds family max degree {family.max_degree}")
-    coefficients = _RECURRENCES[family.kind]
+    coefficients = _FAMILIES[family.kind][0]
     steps = []
     for n in range(max_degree):
         try:

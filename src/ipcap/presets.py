@@ -18,7 +18,6 @@ import inspect
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .capacity import (
 )
 from .distributions import (
     LAWS,
-    _is_real,
     DistributionSpec,
     InputShaping,
     analytic_moments,
@@ -61,6 +59,7 @@ from .polychaos import (
     fit_gram_schmidt,
 )
 from .reports import write_json, write_report, write_series_csv
+from .schema import _POSITIVE, _UNIT, Key, Unset, _at_least, _walk
 from .systems import (
     ACTIVATIONS,
     EsnConfig,
@@ -72,56 +71,6 @@ from .systems import (
     simulate_narma10,
     train_readout,
 )
-
-
-class Unset(str):
-    """The default of a key that stays unset when left out; the text says what stands in."""
-
-
-REQUIRED = Unset("required")
-
-
-class Key(NamedTuple):
-    """One config key: its type (an entry of _TYPES), its default and the bound on its value.
-
-    default is filled in when the key is left out, unless it is an Unset.
-    bound = (test, text) holds for the value, or for each number in a list.
-    choices are the allowed strings, length is a list's fixed length, keys are
-    a block's own keys, and a nullable key also takes null.
-    """
-
-    type: str
-    default: object = REQUIRED
-    bound: tuple | None = None
-    choices: tuple | None = None
-    length: int | None = None
-    keys: dict | None = None
-    nullable: bool = False
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list(value, entry) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(entry, value))
-
-
-# type -> (test of a value, what a value of the type is called)
-_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_real, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "numbers": (lambda v: _is_list(v, _is_real), "a list of numbers"),
-    "integers": (lambda v: _is_list(v, _is_int), "a list of integers"),
-    "names": (lambda v: _is_list(v, lambda x: isinstance(x, str)), "a list of names"),
-    "pairs": (
-        lambda v: _is_list(v, lambda p: _is_list(p, _is_int) and len(p) == 2),
-        "a list of [degree, max_delay] pairs",
-    ),
-    **dict.fromkeys(("mapping", "system", "block"), (lambda v: isinstance(v, dict), "a mapping")),
-}
 
 
 def _declared(owner, *names: str, **keys: Key) -> dict:
@@ -138,14 +87,8 @@ def _params(owner, block: dict) -> dict:
     return {name: value for name, value in block.items() if name in names}
 
 
-def _at_least(low: int) -> tuple:
-    return (lambda x: x >= low, f">= {low}")
-
-
-_POSITIVE = _at_least(1)
 _COUNT = Key("int", bound=_POSITIVE)
 _SEED = Key("int", 0, _at_least(0))
-_UNIT = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
 # the trace NRMSE of approx_model skips this many steps; its variance needs two more
 _TRACE_SKIP = 30
 
@@ -239,47 +182,6 @@ SCHEMA = {
 }
 
 
-def _value(where: str, key: Key, value):
-    """The value checked against its key, as the config holds it: reals as floats."""
-    if value is None and key.nullable:
-        return None
-    test, called = _TYPES[key.type]
-    if not test(value):
-        raise ConfigError(f"{where}: expected {called}, got {value!r}")
-    if key.type == "block":
-        return _walk(where, key.keys, value)
-    entries = value if isinstance(value, (list, tuple)) else [value]
-    if key.length is not None and len(value) != key.length:
-        raise ConfigError(f"{where}: expected {key.length} values, got {len(value)}")
-    if key.choices is not None and not all(v in key.choices for v in entries):
-        raise ConfigError(f"{where}: must be one of {list(key.choices)}, got {value!r}")
-    numbers = [x for v in entries for x in (v if key.type == "pairs" else [v])]
-    if key.bound is not None and not all(map(key.bound[0], numbers)):
-        raise ConfigError(f"{where}: must be {key.bound[1]}, got {value!r}")
-    if key.type == "float":
-        return float(value)
-    if key.type == "numbers":
-        return [float(v) for v in value]
-    return dict(value) if isinstance(value, dict) else value
-
-
-def _walk(path: str, keys: dict, given: dict) -> dict:
-    """A block checked against its keys, with every default that is not Unset filled in."""
-    for name in given:
-        if name not in keys:
-            raise ConfigError(f"{path + '.' if path else ''}{name}: unknown key, expected one of {list(keys)}")
-    block = {}
-    for name, key in keys.items():
-        where = f"{path}.{name}" if path else name
-        if name in given:
-            block[name] = _value(where, key, given[name])
-        elif key.default is REQUIRED:
-            raise ConfigError(f"{where}: required")
-        elif not isinstance(key.default, Unset):
-            block[name] = _value(where, key, key.default)
-    return block
-
-
 def _build(path: str, cls, params: dict):
     """cls(**params), its ParameterError a ConfigError that names the key under path."""
     try:
@@ -338,8 +240,7 @@ def _check_capacity(inp: dict, sweep: dict, values: dict) -> None:
         )
     if fitted:
         # fitted to the input stream at run time; it takes no parameters
-        if family["params"]:
-            raise ConfigError(f"sweep.family.params: unknown key '{next(iter(family['params']))}'")
+        _walk("sweep.family.params", {}, family["params"])
         if sweep["fit_degree"] < top:
             raise ConfigError(
                 f"sweep.fit_degree: must be >= {top}, the top degree the sweep"

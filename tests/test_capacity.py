@@ -997,3 +997,23 @@ def test_sweep_memory_does_not_grow_with_batch_times_length():
         tracemalloc.stop()
     assert len(report.entries) == 300
     assert peak < 64 * 2**20
+
+
+def test_delay_skipped_targets_do_not_move_the_other_raws():
+    # A target whose delay does not fit the window is set aside before the
+    # batches are cut. Were it dropped inside its batch, the rows after it
+    # would move up, and the rank-1 projection (a BLAS GEMV that takes rows
+    # in small groups) would round them differently in the last bits.
+    T, start = 20_000, 9
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + start - 1, seed=131)
+    basis = decompose(StateMatrix(np.tanh(zeta[start - 1 :] + 0.5 * zeta[start - 2 : -1])))
+    assert basis.rank == 1
+    specs = enumerate_chaos(3, 12)
+    fit = [spec for spec in specs if spec.max_delay <= start]
+    family = PolynomialFamily(kind="legendre")
+    report = capacity_sweep(basis, specs, family, zeta)
+    alone = capacity_sweep(basis, fit, family, zeta)
+    assert [label for label, _ in report.skipped] == [s.label() for s in specs if s.max_delay > start]
+    raws = {e.spec: e.raw_capacity for e in report.entries}
+    assert len(raws) == len(fit)
+    assert raws == {e.spec: e.raw_capacity for e in alone.entries}

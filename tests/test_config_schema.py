@@ -11,7 +11,10 @@ import pytest
 import ipcap.presets
 from ipcap import ConfigError, ExperimentConfig
 from ipcap.cli import main
-from ipcap.presets import _CAPACITY_ONLY, _SYSTEM_KIND, PRESETS, REQUIRED, SCHEMA, SYSTEMS, Key
+from ipcap.distributions import LAWS, DistributionSpec
+from ipcap.polychaos import _FAMILIES
+from ipcap.presets import _CAPACITY_ONLY, _SYSTEM_KIND, PRESETS, SCHEMA, SYSTEMS
+from ipcap.schema import REQUIRED, Key
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -30,16 +33,28 @@ WRONG = {
     "mapping": [[], "x", 3],
     "system": ["x", 3, []],
     "block": ["x", 3, [], True],
+    "components": ["x", 3, [], [1.0], [[0.5, 0.0]], [["a", 0.0, 1.0]], [[True, 0.0, 1.0]], {}],
 }
 # candidates for a value outside a bound
-EDGES = {"int": [-10**6, -5, -1, 0, 1, 2, 31], "float": [-1.0, 0.0, 1.0, 1.5]}
-ENTRY = {"int": "int", "integers": "int", "pairs": "int", "float": "float", "numbers": "float"}
+EDGES = {
+    "int": [-10**6, -5, -1, 0, 1, 2, 31],
+    "float": [-1.0, 0.0, 1.0, 1.5],
+    "components": [[0.0, 0.0, 1.0], [-0.5, 0.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, -1.0]],
+}
+ENTRY = {
+    "int": "int", "integers": "int", "pairs": "int", "float": "float", "numbers": "float",
+    "components": "components",
+}
 CASES_PER_PRESET = 30
 CLI_EVERY = 10
 
 
 def sites(payload: dict) -> list:
-    """(path, key) for every key the schema declares in a block the payload gives."""
+    """(path, key) for every key the schema declares in a block the payload gives.
+
+    The parameters of the payload's input law, and those of the family it
+    picks, are reached through the law table.
+    """
     found = []
 
     def visit(path, keys, block):
@@ -52,12 +67,19 @@ def sites(payload: dict) -> list:
     if "system" in payload:
         found.append((("system", "kind"), _SYSTEM_KIND["kind"]))
         found += [(("system", name), key) for name, key in SYSTEMS[payload["system"]["kind"]][1].items()]
+    if has(payload, ("input", "distribution")):
+        law = LAWS[payload["input"]["distribution"]["kind"]]
+        found += [(("input", "distribution", "params", name), key) for name, key in law.params.items()]
+        family = _FAMILIES[law.family][1]
+        found += [(("sweep", "family", "params", name), key) for name, key in family.items()]
     return found
 
 
 def blocks(payload: dict) -> list:
     """Paths of the schema blocks the payload gives, the top level included."""
-    given = [path for path, key in sites(payload) if key.type in ("block", "system") and has(payload, path)]
+    given = [
+        path for path, key in sites(payload) if key.type in ("block", "system", "mapping") and has(payload, path)
+    ]
     return [()] + given
 
 
@@ -76,6 +98,9 @@ def _at(payload, path):
 
 
 def put(payload, path, value):
+    if path[:2] == ("sweep", "family") and "family" not in payload["sweep"]:
+        # restate the family the input law picks, which the config accepts
+        payload["sweep"]["family"] = DistributionSpec.from_dict(payload["input"]["distribution"]).family
     _at(payload, path[:-1])[path[-1]] = value
 
 
@@ -87,7 +112,7 @@ def out_of_bound(rng, key: Key):
     if key.bound is None:
         return None
     bad = rng.choice([x for x in EDGES[ENTRY[key.type]] if not key.bound[0](x)])
-    return {"numbers": [bad], "integers": [bad], "pairs": [[bad, 1]]}.get(key.type, bad)
+    return {"numbers": [bad], "integers": [bad], "pairs": [[bad, 1]], "components": [bad]}.get(key.type, bad)
 
 
 def mutations(rng, name: str) -> list:
@@ -99,7 +124,8 @@ def mutations(rng, name: str) -> list:
     required = [
         path
         for path, key in found
-        if path[-1] in _at(preset, path[:-1])
+        if has(preset, path[:-1])
+        and path[-1] in _at(preset, path[:-1])
         and (key.default is REQUIRED or (capacity and key.default is _CAPACITY_ONLY))
     ]
     required.append(("system",) if capacity else ("analysis",))
@@ -155,3 +181,10 @@ def test_fuzz_every_invalid_mutation_is_refused(name, tmp_path, capsys, monkeypa
 def test_readme_config_reference_is_written_from_the_schema():
     readme = (ROOT / "README.md").read_text()
     assert config_reference.rewrite(readme) == readme
+    # each law's parameters, written from the law table
+    for kind, law in LAWS.items():
+        title = f"`input.distribution.params` with `kind: {kind}`"
+        assert config_reference.table(title, law.params, "none.")[0] in readme
+        for name, key in law.params.items():
+            row = f"| `{name}` | {config_reference.type_text(key)} | {config_reference.default_text(key)} |"
+            assert f"{row} {key.bound[1]} |" in readme

@@ -115,6 +115,13 @@ def test_derived_family_is_orthogonal_under_its_law(law):
     assert mean_over_rms(family, sample_stream(spec, 100_000, seed=3)) <= 0.05
 
 
+@pytest.mark.parametrize("law", [k for k, law in LAWS.items() if law.family != "gram_schmidt"])
+def test_family_defaults_are_those_of_its_default_law(law):
+    # a classical family takes its law's keys; Hahn declares its own defaults
+    spec = DistributionSpec(kind=law)
+    assert PolynomialFamily(kind=spec.family["kind"]).params == spec.family["params"]
+
+
 @pytest.mark.parametrize(
     "law, shaping, family",
     [

@@ -7,14 +7,17 @@ Usage (from anywhere, each argument the directory that holds `ipcap`):
 Without PRESET names it runs every bundled preset: each capacity preset and
 each NARMA suite (`narma_suite`, e.g. fig2b). Each preset runs once per tree,
 each run in its own process at one BLAS thread, the two trees one after the
-other. For a capacity preset the table shows whether the kept sets, the skip
-lists (order included), the ranks and the reports' meta and threshold blocks
-are equal, and the largest |raw capacity difference| over the targets. For a
-NARMA suite it shows whether the two runs wrote the same files with the same
-bytes. Every row gives the seconds and the peak RSS (ru_maxrss, MiB) of each
-run. The exit status is 1 if any decision, skip, rank, meta or threshold
-block differs, if a raw capacity moves by more than 1e-12, or if a NARMA
-suite's output files differ in any byte; otherwise 0.
+other. For every preset the meta column shows whether the validated configs
+(ExperimentConfig.to_dict, every default and derived value filled in) are
+equal, so a moved default, moment or shaping fails it even when no result
+moves. For a capacity preset it also compares the reports' meta and threshold
+blocks, and the table shows whether the kept sets, the skip lists (order
+included) and the ranks are equal, and the largest |raw capacity difference|
+over the targets. For a NARMA suite it shows whether the two runs wrote the
+same files with the same bytes. Every row gives the seconds and the peak RSS
+(ru_maxrss, MiB) of each run. The exit status is 1 if any config, decision,
+skip, rank, meta or threshold block differs, if a raw capacity moves by more
+than 1e-12, or if a NARMA suite's output files differ in any byte; otherwise 0.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ digest = {
     "seconds": time.perf_counter() - t0,
     # kilobytes on Linux
     "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "config": config.to_dict(),
 }
 if config.kind != "narma_suite":
     digest.update(
@@ -75,14 +79,15 @@ def _python(src: str, code: str, *args: str) -> str:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Equality of decisions, skips, rank, meta and threshold, and the largest raw difference."""
+    """Equality of decisions, skips, rank, config, meta and threshold, and the largest raw difference."""
     old, new = parent["raw"], change["raw"]
     delta = max((abs(old[k] - new[k]) for k in old), default=0.0) if old.keys() == new.keys() else math.inf
     return {
         "kept": parent["kept"] == change["kept"],
         "skipped": parent["skipped"] == change["skipped"],
         "rank": parent["rank"] == change["rank"],
-        "meta": (parent["meta"], parent["threshold"]) == (change["meta"], change["threshold"]),
+        "meta": (parent["config"], parent["meta"], parent["threshold"])
+        == (change["config"], change["meta"], change["threshold"]),
         "max_delta": delta,
     }
 
@@ -123,8 +128,9 @@ def main(argv: list[str]) -> int:
                 cells = ["same" if c[key] else "DIFF" for key in ("kept", "skipped", "rank", "meta")]
                 cells.append(f"{c['max_delta']:.3g}")
             else:
-                bad = not same_files(*outdirs)
-                cells = ["-", "-", "-", "-", "files DIFF" if bad else "files same"]
+                same_config, files = parent["config"] == change["config"], same_files(*outdirs)
+                bad = not (same_config and files)
+                cells = ["-", "-", "-", "same" if same_config else "DIFF", "files same" if files else "files DIFF"]
             failed |= bad
             print(
                 f"{name:<22} {cells[0]:>5} {cells[1]:>5} {cells[2]:>5} {cells[3]:>5} {cells[4]:>11}"
@@ -136,7 +142,7 @@ def main(argv: list[str]) -> int:
     print(
         "FAIL"
         if failed
-        else f"OK: no decision flip, same meta and threshold, every |dRaw| <= {RAW_BOUND:g},"
+        else f"OK: same configs, no decision flip, same meta and threshold, every |dRaw| <= {RAW_BOUND:g},"
         " every NARMA output file identical"
     )
     return 1 if failed else 0

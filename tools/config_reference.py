@@ -5,7 +5,8 @@ Usage (from the repository root):
     PYTHONPATH=src python tools/config_reference.py
 
 The section lies between the BEGIN and END markers below: one table per block
-of ipcap.presets.SCHEMA, and one per system kind of ipcap.presets.SYSTEMS.
+of ipcap.presets.SCHEMA, one per system kind of ipcap.presets.SYSTEMS, one per
+input law of ipcap.distributions.LAWS and one per polynomial family.
 tests/test_config_schema.py checks that the README holds what this writes.
 """
 
@@ -14,7 +15,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ipcap.presets import SCHEMA, SYSTEMS, Unset
+from ipcap.distributions import LAWS
+from ipcap.polychaos import _FAMILIES
+from ipcap.presets import SCHEMA, SYSTEMS
+from ipcap.schema import Unset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BEGIN = "<!-- config reference: written by tools/config_reference.py from ipcap.presets.SCHEMA -->"
@@ -32,6 +36,12 @@ TYPE_NAMES = {
     "mapping": "mapping",
     "system": "block, keys by `kind`",
     "block": "block",
+    "components": "list of [weight, mean, sd] lists",
+}
+# the params mappings, by path: kind -> the kind's parameter keys
+PARAMS = {
+    "input.distribution.params": {kind: law.params for kind, law in LAWS.items()},
+    "sweep.family.params": {kind: keys for kind, (_, keys) in _FAMILIES.items()},
 }
 
 
@@ -51,9 +61,9 @@ def default_text(key) -> str:
     return f"`{json.dumps(key.default)}`"
 
 
-def table(title: str, keys: dict) -> list[str]:
+def table(title: str, keys: dict, empty: str = "no keys; give `{}` to run it.") -> list[str]:
     if not keys:
-        return [f"{title}: no keys; give `{{}}` to run it.", ""]
+        return [f"{title}: {empty}", ""]
     lines = [f"{title}:", "", "| key | type | default | bound |", "|---|---|---|---|"]
     for name, key in keys.items():
         bound = key.bound[1] if key.bound else ""
@@ -74,6 +84,9 @@ def reference() -> str:
             elif key.type == "system":
                 for kind, (_, kind_keys) in SYSTEMS.items():
                     lines.extend(table(f"`{where}` with `kind: {kind}`", kind_keys))
+            elif where in PARAMS:
+                for kind, kind_keys in PARAMS[where].items():
+                    lines.extend(table(f"`{where}` with `kind: {kind}`", kind_keys, "none."))
 
     block("", SCHEMA)
     return "\n".join(lines)
