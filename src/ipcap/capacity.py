@@ -20,25 +20,37 @@ its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
 The shuffles come from one permutation stream per seed, shared by
 surrogate_threshold and the sweep, so raw > surrogate_threshold(...) is the
 sweep's decision (both round in the last bits only, through differently
-shaped GEMMs). In the sweep, exact permutation-null moments decide most
-targets and the shared surrogate panel decides the borderline ones. The
-panel projects its draws in chunks of up to max(1, 32 // rank) draws per
-GEMM and stops drawing for a target once its decision is fixed. A target's
-decision is its hit count over all draws, so neither the chunking nor the
-early stop can change it. The panel compacts its pending rows in place as
-they are decided, so it holds no copy of them.
+shaped GEMMs). In the sweep, a screen decides most targets from the exact
+permutation-null moments of their projections, and the shared surrogate
+panel decides the rest. The screen keeps a target above factor * b_hi and
+rejects one at or below factor * b_lo. Both bounds follow from the panel's
+(n, k) and one miss level delta = 1e-12 per target: under the Gaussian
+projection model, a surrogate reaches b_hi with probability at most p_hi,
+the largest p with P[Bin(n, p) >= k] <= delta, and falls below b_lo with
+probability at most q_lo, the largest q with P[Bin(n, q) >= n - k + 1] <=
+delta. So the screen decides a target otherwise than the panel with
+probability at most delta. The panel projects its draws in chunks of up to
+max(1, 32 // rank) draws per GEMM and stops drawing for a target once its
+decision is fixed. A target's decision is its hit count over all draws, so
+neither the chunking nor the early stop can change it. The panel compacts
+its pending rows in place as they are decided, so it holds no copy of them.
 
 A thresholded sweep runs the panel on one background thread: borderline
 targets are queued to it while the sweeping thread builds, projects and
 reduces the next tiles, and its decisions are read after it is joined. The
-thread alone draws the permutations, in index order from one generator, so
-how the two threads interleave cannot change a decision. Where the panel
-projects chunks of draws (rank <= 16), it draws ahead while it holds a
-pending row and no job is waiting, so its first flush finds the stream
-drawn; a sweep that sends it no row draws none. ipcap starts one other
-Python thread, the input draw thread of narma.divergence_probability; each
-of the two owns its own generator. BLAS thread settings are left as they
-are, and a sweep without a threshold starts no thread.
+thread alone draws the permutations, in index order from one generator.
+While it holds a pending row and no job waits, it uses the idle time where
+it pays: where the panel projects chunks of draws (rank <= 16), it draws
+ahead, so its first flush finds the stream drawn; where it projects one
+draw at a time, it flushes, so the sweep's end finds few rows left. A sweep
+that sends it no row draws none. How the two threads interleave changes
+which rows share a single-draw flush, and BLAS may round a capacity in its
+last bits differently for another row count, so timing can reach a
+decision only through a draw that ties factor * cap with raw to rounding.
+ipcap starts one other Python thread, the input draw thread of
+narma.divergence_probability; each of the two owns its own generator. BLAS
+thread settings are left as they are, and a sweep without a threshold
+starts no thread.
 """
 
 from __future__ import annotations
@@ -55,10 +67,15 @@ from .errors import DataError, ParameterError, ShapeError
 from .polychaos import ChaosSpec, PolynomialFamily, TargetSeries, eval_table
 from .polychaos import _crossed, _fill_product, _fill_target, _time_factor
 
-# Laurent-Massart style tail parameter for the screening bounds; e^-40 per
-# target per surrogate leaves the mis-banding probability negligible even for
-# 10^5-target sweeps.
-_SCREEN_T = 40.0
+# Probability, per target, that the screen decides otherwise than the panel,
+# under the Gaussian projection model of _screen_bounds. At the default panel
+# (200 draws, k = 1) it is 0.871^200: every surrogate of a rank-1 target
+# below 2.30 v_max.
+_SCREEN_DELTA = 1e-12
+
+# Share of the lower bound's miss probability q_lo given to the cross term
+# 2 mu^T Y of a nonzero-mean target; the chi-square terms get the rest.
+_CROSS_SHARE = 1e-4
 
 # Basis columns per panel GEMM: a chunk projects max(1, _PANEL_COLS // rank)
 # draws at once, so rank 1 reads each target row once per 32 draws.
@@ -257,38 +274,32 @@ def detrend(state: StateMatrix, max_harmonics: int) -> StateMatrix:
     T = data.shape[0]
     if T < 4:
         raise DataError(f"data: detrend needs T >= 4, got {T}")
-    out = np.empty_like(data)
-    means = []
-    components = []
-    for j in range(data.shape[1]):
-        col = data[:, j]
-        mean = float(col.mean())
-        y = col - mean
-        comps = []
-        if max_harmonics > 0:
-            spec = np.fft.rfft(y)
-            # amplitude of bin k in the A cos(2 pi k t / T + theta) convention
-            amp = np.abs(spec) * 2.0 / T
-            if T % 2 == 0:
-                amp[-1] = np.abs(spec[-1]) / T
-            amp[0] = 0.0
-            n_pick = min(max_harmonics, amp.size - 1)
-            picked = np.argsort(amp)[::-1][:n_pick]
-            picked = picked[amp[picked] > 0.0]
-            keep = np.zeros_like(spec)
-            keep[picked] = spec[picked]
-            y = y - np.fft.irfft(keep, n=T)
-            for k in sorted(int(k) for k in picked):
-                comps.append(
-                    {
-                        "amplitude": float(amp[k]),
-                        "frequency": k / T,
-                        "phase": float(np.angle(spec[k])),
-                    }
-                )
-        out[:, j] = y
-        means.append(mean)
-        components.append(comps)
+    # each column's own mean: data.mean(axis=0) would sum in another order
+    means = [float(data[:, j].mean()) for j in range(data.shape[1])]
+    out = data - np.array(means)
+    components: list[list[dict]] = [[] for _ in means]
+    for j in range(data.shape[1]) if max_harmonics > 0 else ():
+        y = out[:, j]
+        spec = np.fft.rfft(y)
+        # amplitude of bin k in the A cos(2 pi k t / T + theta) convention
+        amp = np.abs(spec) * 2.0 / T
+        if T % 2 == 0:
+            amp[-1] = np.abs(spec[-1]) / T
+        amp[0] = 0.0
+        n_pick = min(max_harmonics, amp.size - 1)
+        picked = np.argsort(amp)[::-1][:n_pick]
+        picked = picked[amp[picked] > 0.0]
+        keep = np.zeros_like(spec)
+        keep[picked] = spec[picked]
+        out[:, j] = y - np.fft.irfft(keep, n=T)
+        for k in sorted(int(k) for k in picked):
+            components[j].append(
+                {
+                    "amplitude": float(amp[k]),
+                    "frequency": k / T,
+                    "phase": float(np.angle(spec[k])),
+                }
+            )
     meta = dict(state.meta)
     meta["detrend"] = {"means": means, "components": components}
     return StateMatrix(data=out, washout=state.washout, labels=state.labels, meta=meta)
@@ -309,13 +320,73 @@ def _basis_screen_stats(basis: SvdBasis) -> dict:
     }
 
 
-def _screen_bounds(stats: dict, phi_mean: float) -> tuple[float, float]:
+def _binomial_tail(n: int, k: int, p: float) -> float:
+    """P[Bin(n, p) >= k], summed from j = k until the terms past the mode stop counting."""
+    lp, lq, ln = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    logs, top = [], -math.inf
+    for j in range(k, n + 1):
+        logs.append(ln - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq)
+        top = max(top, logs[-1])
+        if j >= n * p and logs[-1] < top - 40.0:
+            break
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
+def _bisect(ok, good: float, bad: float) -> float:
+    """The end of [good, bad] where ok holds, 64 halvings from the boundary ok changes at."""
+    for _ in range(64):
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
+
+
+def _largest_p(n: int, k: int) -> float:
+    """The largest p with P[Bin(n, p) >= k] <= _SCREEN_DELTA, bisected in log p.
+
+    The tail is held 1e-9 below delta, so the tail's rounding cannot lift the
+    returned p past delta.
+    """
+    level = _SCREEN_DELTA * (1.0 - 1e-9)
+    return math.exp(_bisect(lambda u: _binomial_tail(n, k, math.exp(u)) <= level, -700.0, 0.0))
+
+
+@cache
+def _screen_constants(n: int, k: int) -> tuple[float, float, float, float]:
+    """(t, a, c, z): the screen's tail constants for a panel of n draws and quantile index k.
+
+    t = -ln p_hi, where p_hi is the largest p with P[Bin(n, p) >= k] <= delta.
+    The lower bound's miss level q_lo is the largest q with
+    P[Bin(n, q) >= n - k + 1] <= delta; _CROSS_SHARE of it goes to the
+    cross term, one-sided normal at z, and the rest, q, to the chi-square
+    terms: a = 2 sqrt(-ln q) and c, the chi-square(1) quantile at q. At
+    (200, 1): t = 32.9, a = 0.744, c = 2.30, z = 3.75.
+    """
+    t = -math.log(_largest_p(n, k))
+    q_lo = _largest_p(n, n - k + 1)
+    q = q_lo * (1.0 - _CROSS_SHARE)
+    a = 2.0 * math.sqrt(-math.log(q))
+    # P[|Z| < sqrt(c)] <= q, and P[Z < -z] <= _CROSS_SHARE * q_lo
+    c = _bisect(lambda x: math.erf(x / math.sqrt(2.0)) <= q, 0.0, 40.0) ** 2
+    z = _bisect(lambda x: math.erfc(x / math.sqrt(2.0)) <= 2.0 * _CROSS_SHARE * q_lo, 40.0, 0.0)
+    return t, a, c, z
+
+
+def _screen_bounds(stats: dict, phi_mean: float, constants: tuple) -> tuple[float, float]:
     """(lower, upper) bounds bracketing the exact surrogate quantile.
 
     For a random permutation the projection S_j = p_j^T phi_pi has exact mean
-    T pbar_j phibar and variance |p_j - mean|^2 |phi - mean|^2 / (T - 1); the
-    bounds wrap the resulting weighted chi-square sum with generous tails.
+    mu_j = T pbar_j phibar and variance v_j = |p_j - mean|^2 |phi - mean|^2 /
+    (T - 1). The bounds model S as mu + Y with independent Y_j ~ N(0, v_j),
+    so a surrogate capacity is m_sq + 2 mu^T Y + |Y|^2, m_sq = |mu|^2, and
+    take their constants (t, a, c, z) from _screen_constants. A surrogate
+    reaches the upper bound (|mu| + sqrt(h))^2 only if |Y|^2 >= h, the
+    Laurent-Massart upper tail at e^-t = p_hi. It falls below the lower
+    bound only if 2 mu^T Y < -2 z sqrt(m_sq v_max), or if |Y|^2 falls below
+    the larger of v_sum - a sqrt(sum v_j^2), the Laurent-Massart lower tail,
+    and c v_max, the largest direction's chi-square(1) quantile: with
+    probability at most q_lo in all.
     """
+    t, a, c, z = constants
     T = stats["T"]
     phit_sq = max(1.0 - T * phi_mean**2, 0.0)
     m_sq = (T * phi_mean) ** 2 * stats["pbar_sq_sum"]
@@ -323,9 +394,10 @@ def _screen_bounds(stats: dict, phi_mean: float) -> tuple[float, float]:
     v_sum = stats["pt_sum"] * scale
     v_sq_sum = stats["pt_sq_sum"] * scale**2
     v_max = stats["pt_max"] * scale
-    hi_var = v_sum + 2.0 * math.sqrt(_SCREEN_T * v_sq_sum) + 2.0 * _SCREEN_T * v_max
+    hi_var = v_sum + 2.0 * math.sqrt(t * v_sq_sum) + 2.0 * t * v_max
     b_hi = min((math.sqrt(m_sq) + math.sqrt(hi_var)) ** 2, 1.0)
-    b_lo = m_sq + max(2.3 * v_max, v_sum - 2.86 * math.sqrt(v_sq_sum), 0.0)
+    cross = 2.0 * z * math.sqrt(m_sq * v_max)
+    b_lo = m_sq - cross + max(c * v_max, v_sum - a * math.sqrt(v_sq_sum), 0.0)
     return b_lo, b_hi
 
 
@@ -441,20 +513,23 @@ def _panel_worker(
     (_PANEL_ROWS, T) pending buffer, so the panel sees the one-pass row, and
     every full buffer goes to _panel_keep, which compacts it in place; the
     next jobs refill it from the top. The thread owns the buffer and the
-    permutations, drawn in index order and shared by every flush. Each is
-    drawn on first use or earlier: while the buffer holds a row and no job
-    waits, the thread draws the next one, where _panel_keep projects chunks
-    of draws. None ends the jobs: the last rows are flushed and the thread
-    returns. Once stop is set, it returns at its next job without deciding
-    anything more. Decisions go into decided, and an exception into failed;
-    the sweep reads both after join.
+    permutations, drawn in index order and shared by every flush. While the
+    buffer holds a row and no job waits, the thread works ahead: where
+    _panel_keep projects chunks of draws, it draws the next permutation, so
+    each is drawn on first use or earlier; where it projects one draw at a
+    time, it flushes. None ends the jobs: the last rows are flushed and the
+    thread returns. Once stop is set, it returns at its next job without
+    deciding anything more. Decisions go into decided, and an exception into
+    failed; the sweep reads both after join.
     """
     try:
         stream, perms = _perm_stream(threshold.seed, basis.T), []
         pending = np.empty((_PANEL_ROWS, basis.T))
         info: list[tuple[str, int, float]] = []
-        # a single-draw panel (cap 1) may stop after a few draws, so it draws none ahead
-        ahead = threshold.n_surrogates if _chunk_cap(basis.rank) > 1 else 0
+        # a chunk's draws are shared by every pending row, so a chunked panel
+        # spends idle time drawing; a single-draw panel may stop after a few
+        # draws, so it spends idle time deciding its rows instead
+        chunked = _chunk_cap(basis.rank) > 1
 
         def perm(i: int) -> np.ndarray:
             while len(perms) <= i:
@@ -469,8 +544,11 @@ def _panel_worker(
             info.clear()
 
         while True:
-            while info and len(perms) < ahead and jobs.empty():
-                perm(len(perms))
+            if chunked:
+                while info and len(perms) < threshold.n_surrogates and jobs.empty():
+                    perm(len(perms))
+            elif info and jobs.empty():
+                flush()
             job = jobs.get()
             if job is None:
                 break
@@ -637,6 +715,7 @@ def capacity_sweep(
     worker = None
     if threshold is not None:
         stats = _basis_screen_stats(basis)
+        constants = _screen_constants(threshold.n_surrogates, threshold.quantile_index())
         jobs, stop = queue.SimpleQueue(), threading.Event()
         worker = threading.Thread(
             target=_panel_worker,
@@ -652,7 +731,7 @@ def capacity_sweep(
             if threshold is None:
                 results[label] = (order, raw, raw)
                 continue
-            b_lo, b_hi = _screen_bounds(stats, phi_mean)
+            b_lo, b_hi = _screen_bounds(stats, phi_mean, constants)
             if raw > threshold.factor * b_hi:
                 results[label] = (order, raw, raw)
             elif raw <= threshold.factor * b_lo:

@@ -611,11 +611,13 @@ def _state_basis(
 ) -> tuple[SvdBasis, list]:
     """SVD basis of the detrended post-washout state, and the detrend components.
 
-    The trajectory and its detrended copy are freed on return, before the sweep.
+    The trajectory is freed before the SVD allocates its workspace, and its
+    detrended copy on return, before the sweep.
     """
     full = _build_state(config.system["kind"], config.values["system"], zeta, config.values["input.shaping"])
     state = StateMatrix(full.data[washout:], washout=washout, labels=full.labels, meta=full.meta)
     state = detrend(state, config.sweep["detrend_harmonics"] if tipc else 0)
+    del full
     basis = decompose(state, config.sweep["rank_tol"])
     return basis, state.meta["detrend"]["components"]
 

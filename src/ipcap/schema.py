@@ -8,6 +8,7 @@ parameters the same way, so one walk checks them all and fills in defaults.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import NamedTuple
 
@@ -44,7 +45,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A finite real number: NaN and +-inf, which JSON configs can spell, are refused."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_list(value, entry) -> bool:
@@ -54,10 +56,10 @@ def _is_list(value, entry) -> bool:
 # type -> (test of a value, what a value of the type is called)
 _TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (_is_real, "a number"),
+    "float": (_is_real, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "numbers": (lambda v: _is_list(v, _is_real), "a list of numbers"),
+    "numbers": (lambda v: _is_list(v, _is_real), "a list of finite numbers"),
     "integers": (lambda v: _is_list(v, _is_int), "a list of integers"),
     "names": (lambda v: _is_list(v, lambda x: isinstance(x, str)), "a list of names"),
     "pairs": (

@@ -74,21 +74,26 @@ def simulate_esn(config: EsnConfig, input_series: np.ndarray) -> StateMatrix:
     if config.activation == "leaky_tanh":
         keep = 1.0 - 1.0 / config.leak
         mix = 1.0 / config.leak
+        kept = np.empty(config.n_nodes)
     for t0 in range(0, L, _ESN_BLOCK):
         t1 = min(t0 + _ESN_BLOCK, L)
         # a diverging run goes on to the end of its block before the check
         # below reports its first offending step; what it computes after that
         # step is discarded, so its overflow is not reported
         with np.errstate(over="ignore", invalid="ignore"):
+            # each step is computed in its own row of X, and x is the row before
             for t in range(t0, t1):
-                pre = W @ x + drive[t]
-                if config.activation == "linear":
-                    x = pre
-                elif config.activation == "tanh":
-                    x = np.tanh(pre)
-                else:
-                    x = keep * x + mix * np.tanh(pre)
-                X[t] = x
+                row = X[t]
+                np.matmul(W, x, out=row)
+                row += drive[t]
+                if config.activation == "tanh":
+                    np.tanh(row, out=row)
+                elif config.activation == "leaky_tanh":
+                    np.multiply(x, keep, out=kept)
+                    np.tanh(row, out=row)
+                    row *= mix
+                    row += kept
+                x = row
         over = np.flatnonzero(np.abs(X[t0:t1]).max(axis=1) > ESN_DIVERGENCE_LIMIT)
         if over.size:
             raise DivergenceError(t0 + int(over[0]) + 1)

@@ -32,7 +32,7 @@ from ipcap import (
     tipc_spectrum,
 )
 import ipcap.capacity
-from ipcap.capacity import SvdBasis, _panel_keep, apply_threshold
+from ipcap.capacity import SvdBasis, _panel_keep, _screen_constants, apply_threshold
 from ipcap.distributions import sample_stream
 from ipcap.polychaos import _crossed
 
@@ -224,6 +224,16 @@ def test_detrend_mean_only_keeps_harmonics():
     col = np.sin(2.0 * math.pi * 3.0 * np.arange(T) / T)
     out = detrend(StateMatrix(col[:, None]), 0)
     assert np.linalg.norm(out.data) == pytest.approx(np.linalg.norm(col), rel=1e-9)
+
+
+def test_mean_only_detrend_equals_the_per_column_subtraction():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 7)) * rng.uniform(0.1, 10.0, 7) + rng.uniform(-5.0, 5.0, 7)
+    out = detrend(StateMatrix(X), 0)
+    means = [float(X[:, j].mean()) for j in range(7)]
+    assert out.meta["detrend"] == {"means": means, "components": [[] for _ in range(7)]}
+    for j in range(7):
+        assert np.array_equal(out.data[:, j], X[:, j] - means[j])
 
 
 def test_detrend_validation():
@@ -774,12 +784,15 @@ def test_surrogate_threshold_at_high_rank_is_the_panel_quantile():
         assert eps == pytest.approx(threshold.factor * kth, rel=1e-12)
 
 
-def screen_case(rng, T):
+def screen_case(rng, T, columns="lags", centred=False):
     """A decomposed state and input for the screen-versus-exact property test.
 
     Inputs are centred, offset (nonzero-mean targets) or spikes; the state
     holds noisy lagged inputs at random strengths, an offset, and sometimes a
-    dependent column (rank-deficient basis).
+    dependent column (rank-deficient basis). columns="one" keeps the first
+    column only, and "wide" adds 20 noise columns, so the panel projects one
+    draw at a time. centred removes the column means, as the presets'
+    detrend does.
     """
     L = T + 12
     kind = rng.integers(3)
@@ -799,21 +812,23 @@ def screen_case(rng, T):
     X = np.column_stack(cols) + rng.uniform(-2.0, 2.0, size=3)
     if rng.random() < 0.5:
         X = np.column_stack([X, X[:, 0] + X[:, 2]])
+    if columns == "one":
+        X = X[:, :1]
+    elif columns == "wide":
+        X = np.column_stack([X, rng.normal(size=(T, 20))])
+    if centred:
+        X = X - X.mean(axis=0)
     return decompose(StateMatrix(X)), zeta, start
 
 
-def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
-    family = PolynomialFamily(kind="legendre")
-    specs = enumerate_chaos(3, 5)
-    rng = np.random.default_rng(89)
-    panel_rows = []
+def screen_cases(rng):
+    """(basis, zeta, start, threshold) for the property test: 24 random cases, then the corners.
 
-    def recording_panel(basis, perm, phis, raws, threshold):
-        panel_rows.append(len(raws))
-        return _panel_keep(basis, perm, phis, raws, threshold)
-
-    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
-    decided = 0
+    The corners cross rank-1, low-rank and wide bases, offset and centred,
+    with the smallest panel (20 draws), the default one (200) and quantiles
+    from the largest surrogate (1%) to the median (100%); each corner runs
+    on two random states.
+    """
     for case in range(24):
         T = int(rng.integers(40, 601))
         basis, zeta, start = screen_case(rng, T)
@@ -823,8 +838,36 @@ def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
             factor=float(rng.choice([1.0, 2.0])),
             seed=case,
         )
+        yield basis, zeta, start, threshold
+    corners = [
+        (columns, centred, n, pct)
+        for columns in ("one", "lags", "wide")
+        for centred in (False, True)
+        for n in (20, 200)
+        for pct in (1.0, 60.0, 100.0)
+    ] * 2
+    for case, (columns, centred, n, pct) in enumerate(corners, 24):
+        T = int(rng.integers(40, 601))
+        basis, zeta, start = screen_case(rng, T, columns, centred)
+        factor = float(rng.choice([1.0, 2.0]))
+        yield basis, zeta, start, ThresholdConfig(n, pct, factor, seed=case)
+
+
+def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
+    family = PolynomialFamily(kind="legendre")
+    specs = enumerate_chaos(3, 5)
+    by_label = {spec.label(): spec for spec in specs}
+    panel_rows = []
+
+    def recording_panel(basis, perm, phis, raws, threshold):
+        panel_rows.append(len(raws))
+        return _panel_keep(basis, perm, phis, raws, threshold)
+
+    monkeypatch.setattr("ipcap.capacity._panel_keep", recording_panel)
+    decided = 0
+    for case, (basis, zeta, start, threshold) in enumerate(screen_cases(np.random.default_rng(89))):
+        T = basis.T
         report = capacity_sweep(basis, specs, family, zeta, threshold=threshold)
-        by_label = {spec.label(): spec for spec in specs}
         for e in report.entries:
             target = build_target(by_label[e.spec], family, zeta, (start, start + T))
             eps = surrogate_threshold(basis, target, **threshold.to_dict())
@@ -832,6 +875,54 @@ def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
             decided += 1
     screened = decided - sum(panel_rows)
     assert screened > 500 and sum(panel_rows) > 100
+
+
+def test_screen_keeps_rank_one_targets_at_a_large_quantile_index():
+    # k = 30 of 100 draws lies near the median of a rank-1 surrogate, where
+    # chi-square(1) is far below 2.3 v_max: a lower bound fixed at 2.3 v_max
+    # zeroed 15 of these 55 targets that the exact rule keeps
+    T = 600
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + 10, seed=5)
+    state = StateMatrix(zeta[10 : T + 10] + np.random.default_rng(3).normal(size=T))
+    basis = decompose(state)
+    assert basis.rank == 1
+    family = PolynomialFamily(kind="legendre")
+    specs = enumerate_chaos(3, 5)
+    threshold = ThresholdConfig(n_surrogates=100, significance_pct=60.0, factor=1.0, seed=3)
+    report = capacity_sweep(basis, specs, family, zeta, threshold=threshold)
+    assert len(report.entries) == 55
+    by_label = {spec.label(): spec for spec in specs}
+    for e in report.entries:
+        target = build_target(by_label[e.spec], family, zeta, (11, 11 + T))
+        eps = surrogate_threshold(basis, target, **threshold.to_dict())
+        assert (e.thresholded_capacity != 0.0) == (e.raw_capacity > eps), e.spec
+
+
+def test_screen_constants_at_the_default_panel():
+    t, a, c, _ = _screen_constants(200, 1)
+    assert t == pytest.approx(32.9, abs=0.05)
+    assert a == pytest.approx(0.743, abs=0.002)
+    assert c == pytest.approx(2.30, abs=0.005)
+
+
+def binomial_tail(n, k, p):
+    """P[Bin(n, p) >= k] summed term by term in floats."""
+    return math.fsum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(k, n + 1))
+
+
+@pytest.mark.parametrize("n", [20, 37, 200, 1000])
+@pytest.mark.parametrize("pct", [1.0, 10.0, 60.0, 100.0])
+def test_screen_miss_levels_are_the_largest_within_delta(n, pct):
+    delta, share = ipcap.capacity._SCREEN_DELTA, ipcap.capacity._CROSS_SHARE
+    k = ThresholdConfig(n_surrogates=n, significance_pct=pct).quantile_index()
+    t, a, c, z = _screen_constants(n, k)
+    q = math.exp(-((a / 2.0) ** 2))  # the chi-square terms' share of q_lo
+    p_hi, q_lo = math.exp(-t), q / (1.0 - share)
+    for hits, level in ((k, p_hi), (n - k + 1, q_lo)):
+        assert binomial_tail(n, hits, level) <= delta < binomial_tail(n, hits, 1.01 * level)
+    # c is the chi-square(1) quantile at q, and z the normal tail at the cross share
+    assert math.erf(math.sqrt(c / 2.0)) == pytest.approx(q, rel=1e-9)
+    assert 0.5 * math.erfc(z / math.sqrt(2.0)) == pytest.approx(share * q_lo, rel=1e-9)
 
 
 # Spec order is not trie order. T = 600 rows on 610 inputs put the window

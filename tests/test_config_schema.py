@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -20,20 +21,25 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import config_reference  # noqa: E402
 
-# values of the wrong type, by key type; null is wrong too unless the key is nullable
+# values of the wrong type, by key type; null is wrong too unless the key is
+# nullable, and so are NaN and +-inf (JSON's NaN and Infinity literals)
+NON_FINITE = [math.nan, math.inf, -math.inf]
 WRONG = {
     "int": [1.5, "3", True, [1], {}],
-    "float": ["x", True, [0.5], {}],
+    "float": ["x", True, [0.5], {}, *NON_FINITE],
     "bool": ["no", "true", 0, 1],
     "str": [3, True, ["a"], {}],
-    "numbers": ["x", 0.5, ["x"], [True], {}],
+    "numbers": ["x", 0.5, ["x"], [True], {}, *([x] for x in NON_FINITE)],
     "integers": [1, [1.5], ["1"], [True]],
     "names": ["tanh", [1], [None]],
     "pairs": [5, [[1]], [[1, 2, 3]], [["a", 3]], [[1.0, 2]]],
     "mapping": [[], "x", 3],
     "system": ["x", 3, []],
     "block": ["x", 3, [], True],
-    "components": ["x", 3, [], [1.0], [[0.5, 0.0]], [["a", 0.0, 1.0]], [[True, 0.0, 1.0]], {}],
+    "components": [
+        "x", 3, [], [1.0], [[0.5, 0.0]], [["a", 0.0, 1.0]], [[True, 0.0, 1.0]], {},
+        [[0.5, math.nan, 1.0]], [[0.5, 0.0, math.inf]],
+    ],
 }
 # candidates for a value outside a bound
 EDGES = {

@@ -1,6 +1,7 @@
 """Experiment configs, report files, pipelines on tiny inputs, and the CLI."""
 
 import json
+import math
 import weakref
 
 import numpy as np
@@ -378,6 +379,14 @@ def suite_config(system=None, **analysis):
 # id -> (command, config, the key its error names)
 NAMED = {
     "esn_1d_without_rho": ("ipc", capacity_config(system={"kind": "esn_1d"}), "system.rho"),
+    # JSON's NaN and Infinity literals: a NaN rho used to simulate and then
+    # exit 3, an infinite mu to report total 0 with exit 0
+    "esn_1d_rho_nan": ("ipc", capacity_config(system={"kind": "esn_1d", "rho": math.nan}), "system.rho"),
+    "shaping_mu_infinity": (
+        "ipc",
+        capacity_config(input={"distribution": {"kind": "uniform"}, "T": 200, "shaping": {"mu": math.inf}}),
+        "input.shaping.mu",
+    ),
     **{
         f"{kind}_init_{tag}": ("ipc", capacity_config(system={"kind": kind, "init": init}), "system.init")
         for kind, length in (("narma10", 10), ("limit_cycle", 2))

@@ -117,9 +117,10 @@ ESN_STEPS = 2 * _ESN_BLOCK + 123
 
 @pytest.mark.parametrize("activation", ["linear", "tanh", "leaky_tanh"])
 def test_esn_states_equal_the_per_step_reference(activation):
-    cfg = EsnConfig(n_nodes=12, spectral_radius=0.95, input_intensity=0.5, activation=activation)
     u = np.random.default_rng(11).uniform(-1.0, 1.0, ESN_STEPS)
-    assert np.array_equal(simulate_esn(cfg, u).data, esn_reference(cfg, u))
+    for n_nodes in (12, 50):
+        cfg = EsnConfig(n_nodes=n_nodes, spectral_radius=0.95, input_intensity=0.5, activation=activation)
+        assert np.array_equal(simulate_esn(cfg, u).data, esn_reference(cfg, u)), n_nodes
 
 
 # the first row of a block, its last row, and a row of the final partial block
