@@ -1,4 +1,4 @@
-"""Capacity measurement: SVD basis, per-target capacities, thresholds, sweeps.
+"""Capacity measurement: SVD basis, detrending, thresholds and the capacity sweep.
 
 The capacity of a unit-norm target phi against a state matrix X = P S Q^T is
 sum_j (p_j^T phi)^2 over the rank-r left singular directions, identical to the
@@ -15,25 +15,27 @@ then reads the block from L2 as well, and 256 rows at higher rank, where
 the projection is a GEMM that wants tall batches. Norms and projections are
 summed over the tiles.
 
-Threshold rule: a target is kept iff raw > factor * (k-th largest capacity of
-its n_surrogates time-shuffled copies), k = ThresholdConfig.quantile_index().
-The shuffles come from one permutation stream per seed, shared by
-surrogate_threshold and the sweep, so raw > surrogate_threshold(...) is the
-sweep's decision (both round in the last bits only, through differently
-shaped GEMMs). In the sweep, a screen decides most targets from the exact
-permutation-null moments of their projections, and the shared surrogate
-panel decides the rest. The screen keeps a target above factor * b_hi and
-rejects one at or below factor * b_lo. Both bounds follow from the panel's
-(n, k) and one miss level delta = 1e-12 per target: under the Gaussian
-projection model, a surrogate reaches b_hi with probability at most p_hi,
-the largest p with P[Bin(n, p) >= k] <= delta, and falls below b_lo with
-probability at most q_lo, the largest q with P[Bin(n, q) >= n - k + 1] <=
-delta. So the screen decides a target otherwise than the panel with
-probability at most delta. The panel projects its draws in chunks of up to
-max(1, 32 // rank) draws per GEMM and stops drawing for a target once its
-decision is fixed. A target's decision is its hit count over all draws, so
-neither the chunking nor the early stop can change it. The panel compacts
-its pending rows in place as they are decided, so it holds no copy of them.
+Threshold rule: a target is kept iff raw > factor * (k-th largest capacity
+of its n_surrogates time-shuffled copies), k =
+ThresholdConfig.quantile_index(). The shuffles are the permutations of one
+stream per seed (_perm_stream), taken in order. The rule's per-target form,
+which projects one target on each draw in turn, lives in tests/oracles.py as
+the reference the sweep's decisions are tested against; the two round in the
+last bits only, through differently shaped GEMMs. In the sweep, a screen
+decides most targets from the exact permutation-null moments of their
+projections, and the shared surrogate panel decides the rest. The screen
+keeps a target above factor * b_hi and rejects one at or below factor *
+b_lo. Both bounds follow from the panel's (n, k) and one miss level delta =
+1e-12 per target: under the Gaussian projection model, a surrogate reaches
+b_hi with probability at most p_hi, the largest p with P[Bin(n, p) >= k] <=
+delta, and falls below b_lo with probability at most q_lo, the largest q
+with P[Bin(n, q) >= n - k + 1] <= delta. So the screen decides a target
+otherwise than the panel with probability at most delta. The panel projects
+its draws in chunks of up to max(1, 32 // rank) draws per GEMM and stops
+drawing for a target once its decision is fixed. A target's decision is its
+hit count over all draws, so neither the chunking nor the early stop can
+change it. The panel compacts its pending rows in place as they are decided,
+so it holds no copy of them.
 
 A thresholded sweep runs the panel on one background thread: borderline
 targets are queued to it while the sweeping thread builds, projects and
@@ -64,8 +66,8 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .polychaos import ChaosSpec, PolynomialFamily, TargetSeries, eval_table
-from .polychaos import _crossed, _fill_product, _fill_target, _time_factor
+from .polychaos import ChaosSpec, PolynomialFamily, eval_table
+from .polychaos import _fill_product, _fill_target, _time_factor
 
 # Probability, per target, that the screen decides otherwise than the panel,
 # under the Gaussian projection model of _screen_bounds. At the default panel
@@ -217,48 +219,6 @@ def _perm_stream(seed: int, T: int):
     dtype = np.int32 if T < 2**31 else np.int64
     while True:
         yield rng.permutation(T).astype(dtype)
-
-
-def _check_length(phi: np.ndarray, basis: SvdBasis) -> None:
-    if phi.shape[0] != basis.T:
-        raise ShapeError(
-            f"target length {phi.shape[0]} does not match state length {basis.T}"
-        )
-
-
-def compute_capacity(basis: SvdBasis, target: TargetSeries) -> float:
-    """Capacity sum_j (p_j^T phi)^2 of one unit-norm target."""
-    _check_length(target.values, basis)
-    return float(_capacities(target.values[None, :], basis.P)[0])
-
-
-def apply_threshold(raw: float, epsilon: float) -> float:
-    """Keep the capacity only if it strictly exceeds the threshold."""
-    return raw if raw > epsilon else 0.0
-
-
-def surrogate_threshold(
-    basis: SvdBasis,
-    target: TargetSeries,
-    n_surrogates: int = 200,
-    significance_pct: float = 1.0,
-    factor: float = 2.0,
-    seed: int = 0,
-) -> float:
-    """Significance cutoff from capacities of time-shuffled target copies.
-
-    Returns factor times the k-th largest of the n_surrogates shuffled
-    capacities (the threshold rule above); with the defaults (200 surrogates
-    at 1%) that is twice the largest.
-    """
-    cfg = ThresholdConfig(n_surrogates, significance_pct, factor, seed)
-    _check_length(target.values, basis)
-    phi = target.values[None, :]
-    perms = _perm_stream(seed, basis.T)
-    # one draw per GEMM: a chunked block would project this single row with
-    # another BLAS kernel, whose last bits differ from phi @ P[perm]
-    caps = [_draw_capacities(phi, basis.P, None, [next(perms)], None)[0, 0] for _ in range(n_surrogates)]
-    return factor * float(np.sort(caps)[-cfg.quantile_index()])
 
 
 def detrend(state: StateMatrix, max_harmonics: int) -> StateMatrix:
@@ -772,43 +732,3 @@ def capacity_sweep(
         skipped=tuple((label, why) for _, label, why in skipped),
         meta=dict(meta or {}),
     )
-
-
-def memory_function(
-    basis: SvdBasis,
-    family: PolynomialFamily,
-    zeta: np.ndarray,
-    max_delay: int,
-    temporal: tuple[int, str] | None = None,
-    threshold: ThresholdConfig | None = None,
-    window: tuple[int, int] | None = None,
-) -> list[tuple[int, float]]:
-    """First-degree capacity versus delay, optionally with one time factor."""
-    if max_delay < 1:
-        raise ParameterError(f"max_delay: must be >= 1, got {max_delay}")
-    specs = [ChaosSpec(terms=((s, 1),), temporal=temporal) for s in range(1, max_delay + 1)]
-    report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, window=window)
-    by_label = {e.spec: e.thresholded_capacity for e in report.entries}
-    return [(spec.terms[0][0], by_label[spec.label()]) for spec in specs if spec.label() in by_label]
-
-
-def tipc_spectrum(
-    basis: SvdBasis,
-    family: PolynomialFamily,
-    zeta: np.ndarray,
-    delay: int,
-    harmonics,
-    threshold: ThresholdConfig | None = None,
-    window: tuple[int, int] | None = None,
-) -> list[tuple[int, float, float]]:
-    """First-order temporal capacity at one delay versus harmonic."""
-    if delay < 1:
-        raise ParameterError(f"delay: must be >= 1, got {delay}")
-    harmonics = [int(k) for k in harmonics]
-    specs = _crossed([ChaosSpec(terms=((delay, 1),))], harmonics)
-    report = capacity_sweep(basis, specs, family, zeta, threshold=threshold, window=window)
-    by_label = {e.spec: e.thresholded_capacity for e in report.entries}
-    return [
-        (k, by_label.get(c.label(), 0.0), by_label.get(s.label(), 0.0))
-        for k, c, s in zip(harmonics, specs[::2], specs[1::2])
-    ]

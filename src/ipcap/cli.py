@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .errors import (
     NoFixedPointError,
     ParameterError,
     ShapeError,
-    WindowError,
 )
 from .distributions import DistributionSpec, InputShaping, sample_stream
 from .polychaos import PolynomialFamily, eval_table, fit_gram_schmidt
@@ -41,7 +41,7 @@ from .presets import (
 from .reports import write_series_csv
 
 _CONFIG_ERRORS = (ConfigError, ParameterError)
-_DATA_ERRORS = (DataError, ShapeError, WindowError, FileNotFoundError, DegeneracyError)
+_DATA_ERRORS = (DataError, ShapeError, FileNotFoundError, DegeneracyError)
 _NUMERIC_ERRORS = (DivergenceError, AnalysisError, NoFixedPointError, FloatingPointError)
 
 
@@ -99,6 +99,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count: must be >= 1, got {args.count}")
+    for key, value in (("--lo", args.lo), ("--hi", args.hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be a finite number, got {value}")
     if args.family == "gram_schmidt":
         if not args.samples:
             raise ConfigError("samples: --samples CSV is required for gram_schmidt")

@@ -22,14 +22,6 @@ class ShapeError(ValueError):
     """Array lengths or shapes are inconsistent."""
 
 
-class WindowError(ValueError):
-    """A target window does not leave room for the requested delays."""
-
-
-class DegenerateTargetError(ValueError):
-    """A chaos target has zero norm and cannot be normalized."""
-
-
 class DegeneracyError(ValueError):
     """The fitted basis has a degree that vanishes on the samples (too few distinct values)."""
 

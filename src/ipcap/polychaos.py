@@ -1,4 +1,4 @@
-"""Orthogonal polynomial families, chaos enumeration, and target series.
+"""Orthogonal polynomial families, chaos enumeration, and chaos targets.
 
 Univariate families are the eight classical ones plus a data-driven basis
 (kind gram_schmidt) fitted to the input sample by the Stieltjes procedure; one
@@ -13,19 +13,12 @@ from __future__ import annotations
 import math
 from math import inf
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .distributions import LAWS
-from .errors import (
-    DegeneracyError,
-    DegenerateTargetError,
-    ParameterError,
-    ShapeError,
-    WindowError,
-)
+from .errors import DegeneracyError, ParameterError
 from .schema import _POSITIVE, Key, parameters
 
 DEFAULT_MAX_DEGREE = 12
@@ -322,15 +315,6 @@ def _crossed(specs: list[ChaosSpec], harmonics) -> list[ChaosSpec]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class TargetSeries:
-    """A unit-norm target over a window, with its pre-normalization norm."""
-
-    values: np.ndarray
-    spec: ChaosSpec
-    norm: float
-
-
 def _time_factor(T: int, k: int, kind: str) -> np.ndarray:
     """cos or sin(2 pi k t / T) over window times t = 0 .. T-1."""
     phase = 2.0 * math.pi * k * np.arange(T) / T
@@ -369,34 +353,3 @@ def _fill_target(row: np.ndarray, spec: ChaosSpec, table: np.ndarray, start: int
     if 0.0 < norm < math.inf:
         row /= norm
     return norm
-
-
-def build_target(
-    spec: ChaosSpec,
-    family: PolynomialFamily,
-    zeta: np.ndarray,
-    window: tuple[int, int],
-) -> TargetSeries:
-    """Evaluate one chaos target over window [start, end) of the input stream.
-
-    The value at window time t is the product of F_n(zeta[t - s]) over the
-    spec's terms, times cos/sin(k * 2 pi * (t - start) / T) if a temporal
-    factor is present, normalized to unit Euclidean norm.
-    """
-    z = np.asarray(zeta, dtype=float).ravel()
-    start, end = int(window[0]), int(window[1])
-    T = end - start
-    if T < 2:
-        raise WindowError(f"window: length must be >= 2, got {T}")
-    if start < spec.max_delay:
-        raise WindowError(
-            f"window: start {start} leaves no room for delay {spec.max_delay}"
-        )
-    if end - 1 > z.size:
-        raise ShapeError(f"window: end {end} exceeds input length {z.size} + 1")
-    table = eval_table(family, z, max(n for _, n in spec.terms)).T
-    values = np.empty(T)
-    norm = _fill_target(values, spec, table, start, partial(_time_factor, T))
-    if not 0.0 < norm < math.inf:
-        raise DegenerateTargetError(f"target {spec.label()} has norm {norm}")
-    return TargetSeries(values=values, spec=spec, norm=norm)

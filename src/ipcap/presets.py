@@ -166,7 +166,7 @@ SCHEMA = {
             "kind": Key("str", choices=FAMILY_KINDS), "params": Key("mapping", {}),
         }),
         "degree_blocks": Key("pairs", _CAPACITY_ONLY, _POSITIVE),
-        "temporal": Key("integers", ()),
+        "temporal": Key("integers", (), _POSITIVE),
         **_declared(enumerate_chaos, max_degree_per_var=_COUNT._replace(nullable=True)),
         "fit_degree": _COUNT._replace(default=Unset("the top degree the sweep evaluates")),
         "detrend_harmonics": Key("int", 2, _at_least(0)),
@@ -206,6 +206,13 @@ def _check_capacity(inp: dict, sweep: dict, values: dict) -> None:
         raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
     if "degree_blocks" not in sweep:
         raise ConfigError("sweep.degree_blocks: a list of [degree, max_delay] pairs required")
+    # over T steps, cos and sin of harmonic k >= T/2 alias a lower harmonic or
+    # vanish: at k = T, cos is 1 and sin is rounding noise
+    aliased = [k for k in sweep["temporal"] if 2 * k >= inp["T"]]
+    if aliased:
+        raise ConfigError(
+            f"sweep.temporal: harmonics {aliased} are not below input.T / 2 ({inp['T'] / 2:g})"
+        )
     blocks = sweep["degree_blocks"]
     # a block yields a target iff degree <= max_delay * max_degree_per_var: what
     # enumerating its specs would find, without the enumeration's cost

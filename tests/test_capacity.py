@@ -18,47 +18,27 @@ from ipcap import (
     PolynomialFamily,
     ShapeError,
     StateMatrix,
-    TargetSeries,
     ThresholdConfig,
-    build_target,
     capacity_sweep,
-    compute_capacity,
     decompose,
     detrend,
     enumerate_chaos,
-    eval_table,
-    memory_function,
-    surrogate_threshold,
-    tipc_spectrum,
 )
 import ipcap.capacity
-from ipcap.capacity import SvdBasis, _panel_keep, _screen_constants, apply_threshold
+from ipcap.capacity import SvdBasis, _capacities, _panel_keep, _screen_constants
 from ipcap.distributions import sample_stream
 from ipcap.polychaos import _crossed
+from oracles import literal_capacity, literal_target, surrogate_threshold
 
 
 def unit_target(values):
     values = np.asarray(values, dtype=float)
-    norm = float(np.linalg.norm(values))
-    return TargetSeries(values=values / norm, spec=ChaosSpec(terms=((1, 1),)), norm=norm)
+    return values / float(np.linalg.norm(values))
 
 
-def literal_target(spec, family, zeta, start, T):
-    """Test-side target: product of eval_table columns times cos/sin, unit norm."""
-    table = eval_table(family, zeta, max(n for _, n in spec.terms))
-    values = np.ones(T)
-    for s, n in spec.terms:
-        values = values * table[start - s : start - s + T, n]
-    if spec.temporal is not None:
-        k, kind = spec.temporal
-        phase = 2.0 * math.pi * k * np.arange(T) / T
-        values = values * (np.cos(phase) if kind == "cos" else np.sin(phase))
-    return values / np.linalg.norm(values)
-
-
-def literal_capacity(basis, phi):
-    s = basis.P.T @ phi
-    return float(s @ s)
+def capacity(basis, phi):
+    """The capacity of one unit-norm target through the kernel that the sweep and the panel share."""
+    return float(_capacities(phi[None, :], basis.P)[0])
 
 
 def regression_capacity(X, z):
@@ -109,12 +89,12 @@ def test_decompose_rank_tol_range():
 def test_capacity_perfect_emulation():
     z = np.array([0.3, -1.0, 0.7, 0.1, -0.4])
     basis = decompose(StateMatrix(z[:, None]))
-    assert compute_capacity(basis, unit_target(z)) == pytest.approx(1.0, abs=1e-12)
+    assert capacity(basis, unit_target(z)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_capacity_orthogonal_target():
     basis = decompose(StateMatrix(np.array([[1.0], [1.0], [-1.0], [-1.0]])))
-    assert compute_capacity(basis, unit_target([1.0, -1.0, 1.0, -1.0])) == pytest.approx(
+    assert capacity(basis, unit_target([1.0, -1.0, 1.0, -1.0])) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -122,13 +102,7 @@ def test_capacity_orthogonal_target():
 def test_capacity_hand_value():
     # C = (z.x)^2 / (|x|^2 |z|^2) = 4 / 8
     basis = decompose(StateMatrix(np.array([[1.0], [1.0], [-1.0], [-1.0]])))
-    assert compute_capacity(basis, unit_target([1.0, 0.0, -1.0, 0.0])) == pytest.approx(0.5)
-
-
-def test_capacity_length_mismatch():
-    basis = decompose(StateMatrix(np.ones((5, 1)) * np.arange(5)[:, None]))
-    with pytest.raises(ShapeError):
-        compute_capacity(basis, unit_target(np.ones(4)))
+    assert capacity(basis, unit_target([1.0, 0.0, -1.0, 0.0])) == pytest.approx(0.5)
 
 
 def test_projection_matches_regression_form():
@@ -137,7 +111,7 @@ def test_projection_matches_regression_form():
         X = rng.normal(size=(8, 3))
         z = rng.normal(size=8)
         basis = decompose(StateMatrix(X))
-        got = compute_capacity(basis, unit_target(z))
+        got = capacity(basis, unit_target(z))
         assert got == pytest.approx(regression_capacity(X, z / np.linalg.norm(z)), abs=1e-8)
         assert -1e-12 <= got <= 1.0 + 1e-8
 
@@ -147,19 +121,13 @@ def test_capacity_invariant_under_column_recombination():
     X = rng.normal(size=(30, 4))
     z = rng.normal(size=30)
     target = unit_target(z)
-    base = compute_capacity(decompose(StateMatrix(X)), target)
+    base = capacity(decompose(StateMatrix(X)), target)
     for _ in range(5):
         M = rng.normal(size=(4, 4))
         while np.linalg.cond(M) > 1e4:
             M = rng.normal(size=(4, 4))
-        mixed = compute_capacity(decompose(StateMatrix(X @ M)), target)
+        mixed = capacity(decompose(StateMatrix(X @ M)), target)
         assert mixed == pytest.approx(base, abs=1e-8)
-
-
-def test_apply_threshold_values():
-    assert apply_threshold(0.3, 0.1) == 0.3
-    assert apply_threshold(0.05, 0.1) == 0.0
-    assert apply_threshold(0.1, 0.1) == 0.0
 
 
 def test_threshold_config_validation():
@@ -179,7 +147,7 @@ def test_surrogate_threshold_keeps_true_signal():
     basis = decompose(StateMatrix(z[:, None]))
     target = unit_target(z)
     eps = surrogate_threshold(basis, target, seed=5)
-    assert compute_capacity(basis, target) == pytest.approx(1.0, abs=1e-12)
+    assert capacity(basis, target) == pytest.approx(1.0, abs=1e-12)
     assert eps < 0.2
 
 
@@ -187,9 +155,9 @@ def test_surrogate_threshold_zeroes_noise():
     rng = np.random.default_rng(4)
     basis = decompose(StateMatrix(rng.normal(size=(400, 3))))
     target = unit_target(rng.normal(size=400))
-    raw = compute_capacity(basis, target)
+    raw = capacity(basis, target)
     eps = surrogate_threshold(basis, target, seed=6)
-    assert apply_threshold(raw, eps) == 0.0
+    assert raw <= eps
 
 
 def test_surrogate_threshold_deterministic():
@@ -252,10 +220,9 @@ def test_memory_function_delay_line():
     zeta = sample_stream(DistributionSpec(kind="uniform"), 700, seed=31)
     # default end-aligned window pairs state row i with input zeta[100 + i]
     basis = decompose(make_delay_line_state(zeta[100:]))
-    mf = memory_function(
-        basis, PolynomialFamily(kind="legendre"), zeta, 5, threshold=ThresholdConfig()
-    )
-    caps = dict(mf)
+    specs = [ChaosSpec(terms=((s, 1),)) for s in range(1, 6)]
+    report = capacity_sweep(basis, specs, PolynomialFamily(kind="legendre"), zeta, threshold=ThresholdConfig())
+    caps = {ChaosSpec.from_label(e.spec).max_delay: e.thresholded_capacity for e in report.entries}
     assert sorted(caps) == [1, 2, 3, 4, 5]
     assert caps[1] == pytest.approx(1.0, abs=1e-10)
     assert all(caps[s] == 0.0 for s in (2, 3, 4, 5))
@@ -266,10 +233,10 @@ def test_tipc_spectrum_peaks_at_construction_harmonic():
     zeta = sample_stream(DistributionSpec(kind="uniform"), T, seed=37)
     t = np.arange(T)
     state = StateMatrix((zeta * np.cos(2.0 * math.pi * k * t / T))[:, None])
-    spectrum = tipc_spectrum(
-        decompose(state), PolynomialFamily(kind="legendre"), zeta, 1, range(1, 11)
-    )
-    by_harmonic = {h: (c, s) for h, c, s in spectrum}
+    specs = _crossed([ChaosSpec(terms=((1, 1),))], range(1, 11))
+    report = capacity_sweep(decompose(state), specs, PolynomialFamily(kind="legendre"), zeta)
+    caps = {e.spec: e.thresholded_capacity for e in report.entries}
+    by_harmonic = {h: (caps[f"1@1*cos@{h}"], caps[f"1@1*sin@{h}"]) for h in range(1, 11)}
     assert by_harmonic[k][0] == pytest.approx(1.0, abs=1e-6)
     others = [c for h, (c, s) in by_harmonic.items() if h != k]
     assert max(others) < 0.02
@@ -740,14 +707,15 @@ def test_sweep_requires_specs():
 def test_sweep_window_length_checked():
     zeta = np.arange(20.0)
     basis = decompose(StateMatrix(zeta[:10]))
-    with pytest.raises(ShapeError, match="window"):
-        capacity_sweep(
-            basis,
-            [ChaosSpec(terms=((1, 1),))],
-            PolynomialFamily(kind="legendre"),
-            zeta,
-            window=(0, 15),
-        )
+    for window, message in (((0, 15), "window length 15"), ((12, 22), "out of range")):
+        with pytest.raises(ShapeError, match=message):
+            capacity_sweep(
+                basis,
+                [ChaosSpec(terms=((1, 1),))],
+                PolynomialFamily(kind="legendre"),
+                zeta,
+                window=window,
+            )
 
 
 @pytest.mark.parametrize("pct, factor", [(1.0, 2.0), (10.0, 1.0), (30.0, 2.0)])
@@ -764,7 +732,7 @@ def test_surrogate_threshold_is_the_panel_quantile(pct, factor):
             target = unit_target(values)
             caps = []
             for p in perms:
-                S = target.values[None, :] @ basis.P[p]
+                S = target[None, :] @ basis.P[p]
                 caps.append(np.einsum("br,br->b", S, S)[0])
             kth = np.sort(caps)[-threshold.quantile_index()]
             assert surrogate_threshold(basis, target, **threshold.to_dict()) == factor * float(kth)
@@ -777,10 +745,9 @@ def test_surrogate_threshold_at_high_rank_is_the_panel_quantile():
     basis, phis = ranked_panel_case(24, 3)
     perms, _, _ = panel_draws(threshold, basis.T)
     for phi in phis:
-        target = TargetSeries(values=phi, spec=ChaosSpec(terms=((1, 1),)), norm=1.0)
         caps = [float(np.sum((phi @ basis.P[p]) ** 2)) for p in perms]
         kth = np.sort(caps)[-threshold.quantile_index()]
-        eps = surrogate_threshold(basis, target, **threshold.to_dict())
+        eps = surrogate_threshold(basis, phi, **threshold.to_dict())
         assert eps == pytest.approx(threshold.factor * kth, rel=1e-12)
 
 
@@ -869,7 +836,7 @@ def test_sweep_decisions_equal_surrogate_threshold(monkeypatch):
         T = basis.T
         report = capacity_sweep(basis, specs, family, zeta, threshold=threshold)
         for e in report.entries:
-            target = build_target(by_label[e.spec], family, zeta, (start, start + T))
+            target = literal_target(by_label[e.spec], family, zeta, start, T)
             eps = surrogate_threshold(basis, target, **threshold.to_dict())
             assert (e.thresholded_capacity != 0.0) == (e.raw_capacity > eps), (case, e.spec)
             decided += 1
@@ -893,7 +860,7 @@ def test_screen_keeps_rank_one_targets_at_a_large_quantile_index():
     assert len(report.entries) == 55
     by_label = {spec.label(): spec for spec in specs}
     for e in report.entries:
-        target = build_target(by_label[e.spec], family, zeta, (11, 11 + T))
+        target = literal_target(by_label[e.spec], family, zeta, 11, T)
         eps = surrogate_threshold(basis, target, **threshold.to_dict())
         assert (e.thresholded_capacity != 0.0) == (e.raw_capacity > eps), e.spec
 

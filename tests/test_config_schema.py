@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -194,3 +195,13 @@ def test_readme_config_reference_is_written_from_the_schema():
         for name, key in law.params.items():
             row = f"| `{name}` | {config_reference.type_text(key)} | {config_reference.default_text(key)} |"
             assert f"{row} {key.bound[1]} |" in readme
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one python block, run as written: a name it imports that
+    # the package no longer exports fails here
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md quick start", "exec"), {})
+    total, rank = capsys.readouterr().out.split()
+    assert int(rank) == 50
+    assert 0.0 < float(total) <= 50.0

@@ -324,6 +324,19 @@ def test_cli_basis_writes_table(tmp_path):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--count", "-1"], "--count"), (["--count", "0"], "--count"), (["--lo", "nan"], "--lo"), (["--hi", "inf"], "--hi")],
+)
+def test_cli_basis_refuses_an_empty_or_non_finite_grid(tmp_path, capsys, flags, key):
+    # --count -1 ended in numpy's ValueError, --lo nan in a NaN table with exit 0
+    out = tmp_path / "basis.csv"
+    assert main(["basis", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_ipc_runs_config_file(tmp_path, capsys):
     cfg = delay_line_config(tmp_path, T=200)
     cfg_path = tmp_path / "cfg.json"
@@ -416,6 +429,21 @@ NAMED = {
         for name in ("fixed_point", "nullclines")
     },
     "nullclines_count_zero": ("narma", suite_config(nullclines={"count": 0}), "analysis.nullclines.count"),
+    # over T = 2000 steps, harmonic 2000 gives cos == 1 and a sin of rounding
+    # noise, and harmonic 1000 a sin of noise; both used to run to exit 0
+    # with a wrong total. Harmonic 0 used to fail only after the simulation.
+    **{
+        f"temporal_{k}_at_T_2000": (
+            "tipc",
+            capacity_config(
+                kind="tipc",
+                input={"distribution": {"kind": "uniform"}, "T": 2000},
+                sweep={"degree_blocks": [[1, 3]], "temporal": [7, k]},
+            ),
+            "sweep.temporal",
+        )
+        for k in (0, 2000, 1000)
+    },
     # detrend needs 4 steps; the readout fits 50 weights and tests on 2 steps at least
     "approx_model_T_3": ("narma", suite_config(approx_model={"T": 3}), "analysis.approx_model.T"),
     "nrmse_table_T_40": ("narma", suite_config(nrmse_table={"T": 40}), "analysis.nrmse_table.T"),

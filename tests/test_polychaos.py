@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,14 +10,10 @@ import pytest
 from ipcap import (
     ChaosSpec,
     DegeneracyError,
-    DegenerateTargetError,
     DistributionSpec,
     InputShaping,
     ParameterError,
     PolynomialFamily,
-    ShapeError,
-    WindowError,
-    build_target,
     enumerate_chaos,
     eval_table,
     fit_gram_schmidt,
@@ -26,6 +23,8 @@ from ipcap import (
     shape_input,
 )
 from ipcap.distributions import LAWS
+from ipcap.polychaos import _fill_target, _time_factor
+from oracles import literal_target
 
 
 def eval_univariate(family, degree, zeta):
@@ -451,55 +450,47 @@ def test_label_roundtrip():
         assert ChaosSpec.from_label(spec.label()) == spec
 
 
+def fill_target(spec, family, zeta, start, T):
+    """(row, norm): spec's target over window [start, start + T), written as the sweep writes it."""
+    table = eval_table(family, zeta, max(n for _, n in spec.terms)).T
+    row = np.empty(T)
+    norm = _fill_target(row, spec, table, start, partial(_time_factor, T))
+    return row, norm
+
+
+def check_fill_target(spec, family, zeta, start, T):
+    """The library's target row and its norm, after checking the row bitwise against the oracle."""
+    row, norm = fill_target(spec, family, zeta, start, T)
+    np.testing.assert_array_equal(row, literal_target(spec, family, zeta, start, T))
+    return row, norm
+
+
 def test_build_target_first_degree_is_shifted_input():
     zeta = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-    target = build_target(
-        ChaosSpec(terms=((1, 1),)), PolynomialFamily(kind="legendre"), zeta, (2, 6)
-    )
+    row, norm = check_fill_target(ChaosSpec(terms=((1, 1),)), PolynomialFamily(kind="legendre"), zeta, 2, 4)
     expected = zeta[1:5]
-    assert np.allclose(target.values, expected / np.linalg.norm(expected))
-    assert target.norm == pytest.approx(np.linalg.norm(expected))
+    assert np.allclose(row, expected / np.linalg.norm(expected))
+    assert norm == pytest.approx(np.linalg.norm(expected))
 
 
 def test_build_target_cross_term_is_product():
     rng = np.random.default_rng(0)
     zeta = rng.uniform(-1.0, 1.0, 200)
-    target = build_target(
-        ChaosSpec(terms=((1, 1), (10, 1))), PolynomialFamily(kind="legendre"), zeta, (10, 200)
+    row, _ = check_fill_target(
+        ChaosSpec(terms=((1, 1), (10, 1))), PolynomialFamily(kind="legendre"), zeta, 10, 190
     )
     t = np.arange(10, 200)
     expected = zeta[t - 1] * zeta[t - 10]
-    assert np.allclose(target.values, expected / np.linalg.norm(expected))
+    assert np.allclose(row, expected / np.linalg.norm(expected))
 
 
 def test_build_target_temporal_factor():
     zeta = np.ones(8)
-    target = build_target(
-        ChaosSpec(terms=((1, 1),), temporal=(1, "cos")),
-        PolynomialFamily(kind="legendre"),
-        zeta,
-        (2, 6),
+    row, norm = check_fill_target(
+        ChaosSpec(terms=((1, 1),), temporal=(1, "cos")), PolynomialFamily(kind="legendre"), zeta, 2, 4
     )
-    assert target.norm == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert np.allclose(target.values, np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0), atol=1e-12)
-
-
-def test_build_target_window_errors():
-    zeta = np.zeros(50)
-    family = PolynomialFamily(kind="legendre")
-    with pytest.raises(WindowError, match="delay"):
-        build_target(ChaosSpec(terms=((5, 1),)), family, zeta, (3, 20))
-    with pytest.raises(WindowError, match="length"):
-        build_target(ChaosSpec(terms=((1, 1),)), family, zeta, (5, 6))
-    with pytest.raises(ShapeError, match="exceeds"):
-        build_target(ChaosSpec(terms=((1, 1),)), family, zeta, (10, 60))
-
-
-def test_build_target_degenerate_norm():
-    with pytest.raises(DegenerateTargetError):
-        build_target(
-            ChaosSpec(terms=((1, 1),)), PolynomialFamily(kind="legendre"), np.zeros(100), (5, 80)
-        )
+    assert norm == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert np.allclose(row, np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0), atol=1e-12)
 
 
 def test_chaos_pairs_empirically_orthonormal():
@@ -514,7 +505,7 @@ def test_chaos_pairs_empirically_orthonormal():
         ChaosSpec(terms=((1, 1), (2, 1))),
         ChaosSpec(terms=((1, 3),)),
     ]
-    values = [build_target(s, family, zeta, window).values for s in specs]
+    values = [fill_target(s, family, zeta, window[0], window[1] - window[0])[0] for s in specs]
     bound = 5.0 / math.sqrt(window[1] - window[0])
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -531,7 +522,7 @@ def test_temporal_factors_orthogonal_across_harmonics():
         ChaosSpec(terms=((1, 1),), temporal=(5, "cos")),
         ChaosSpec(terms=((1, 1),), temporal=(3, "sin")),
     ]
-    values = [build_target(s, family, zeta, window).values for s in specs]
+    values = [fill_target(s, family, zeta, window[0], window[1] - window[0])[0] for s in specs]
     bound = 5.0 / math.sqrt(window[1] - window[0])
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
