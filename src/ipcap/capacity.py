@@ -11,9 +11,10 @@ scratch. Each tile is filled 16 rows at a time, and each 1 MiB block of 16
 rows is reduced in two calls, its squared norms and its sums, while it is
 in L2, with the per-row dot kernel of row @ row. A batch is one such block
 at rank <= 2, where the tile's projection is a matrix-vector product that
-then reads the block from L2 as well, and 256 rows at higher rank, where
-the projection is a GEMM that wants tall batches. Norms and projections are
-summed over the tiles.
+then reads the block from L2 as well, and 128 rows at higher rank, where
+the projection is a GEMM that wants tall batches; there the sweeping thread
+and one helper thread each fill every other batch, in a (128, _TILE) buffer
+of their own. Norms and projections are summed over the tiles.
 
 Threshold rule: a target is kept iff raw > factor * (k-th largest capacity
 of its n_surrogates time-shuffled copies), k =
@@ -49,10 +50,11 @@ that sends it no row draws none. How the two threads interleave changes
 which rows share a single-draw flush, and BLAS may round a capacity in its
 last bits differently for another row count, so timing can reach a
 decision only through a draw that ties factor * cap with raw to rounding.
-ipcap starts one other Python thread, the input draw thread of
-narma.divergence_probability; each of the two owns its own generator. BLAS
-thread settings are left as they are, and a sweep without a threshold
-starts no thread.
+ipcap starts three Python threads: this panel thread, the sweep's helper
+and the input draw thread of narma.divergence_probability; the panel and
+draw threads own their own generators. BLAS thread settings are left as
+they are. A sweep without a threshold starts no panel thread, but one of
+two or more batches at rank > 2 starts the helper either way.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ _TILE = 8192
 # 1 MiB, so it stays in L2 from its fill through its reductions. At rank <= 2
 # a batch is one block, and the tile's projection, a matrix-vector product,
 # reads it from L2 too; at higher rank the projection is a GEMM, which needs
-# the tall default batch.
-_BLOCK_ROWS, _GEMM_BATCH = 16, 256
+# a tall batch, and each of the two workers holds one 8 MiB buffer of it.
+_BLOCK_ROWS, _GEMM_BATCH = 16, 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,25 +558,91 @@ def _nearest_ancestor(rows: dict, spec: ChaosSpec) -> tuple[int | None, int]:
     return None, 0
 
 
+def _fill_batch(basis: SvdBasis, specs: list[ChaosSpec], table: np.ndarray, start: int, trig, order, Z):
+    """(S, squared norms, sums) of the targets of specs[i], i in order, built in the buffer Z.
+
+    The batch is built, projected and reduced one time tile at a time. A
+    tile's rows are filled in blocks of _BLOCK_ROWS, each block's squared
+    norms and sums are reduced in one np.vecdot call each while it is in L2,
+    and the tile is then projected in one product. np.vecdot runs the dot
+    kernel of row @ row on each row, so the sums are bitwise the per-row ones.
+    """
+    T, width = basis.T, Z.shape[1]
+    ones = np.ones(width)
+    plan = []  # (ancestor row, terms left to multiply, time factor)
+    rows = {}  # (terms, temporal) -> row in plan
+    for i in order:
+        spec = specs[i]
+        base, depth = _nearest_ancestor(rows, spec)
+        rows[spec.terms, spec.temporal] = len(plan)
+        factor = trig(*spec.temporal) if spec.temporal is not None else None
+        plan.append((base, spec.terms[depth:], factor))
+    b = len(plan)
+    S, ssq, sums = np.zeros((b, basis.rank)), np.zeros(b), np.zeros(b)
+    # Overflow and invalid operations here only arise in rows whose norm
+    # comes out non-finite, and those are reported as degenerate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, T, width):
+            t1 = min(t0 + width, T)
+            Zt, ones_t = Z[:b, : t1 - t0], ones[: t1 - t0]
+            for g in range(0, b, _BLOCK_ROWS):
+                blk = slice(g, g + _BLOCK_ROWS)
+                for j, (base, terms, factor) in enumerate(plan[blk], g):
+                    _fill_product(
+                        Zt[j],
+                        terms,
+                        table,
+                        start + t0,
+                        None if factor is None else factor[t0:t1],
+                        None if base is None else Zt[base],
+                    )
+                ssq[blk] += np.vecdot(Zt[blk], Zt[blk])
+                sums[blk] += np.vecdot(Zt[blk], ones_t)
+            S += Zt @ basis.P[t0:t1]
+    return S, ssq, sums
+
+
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised buffer on a 64-byte cache line, as are its rows of _TILE doubles.
+
+    malloc aligns to 16 bytes only, and a tile row that straddles cache lines
+    fills up to a quarter slower, which would tie the sweep's speed to the
+    heap's history.
+    """
+    buf = np.empty(shape[0] * shape[1] + 8)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip : skip + shape[0] * shape[1]].reshape(shape)
+
+
+def _sweep_helper(fill, batches: list, Z: np.ndarray, filled: queue.SimpleQueue, stop: threading.Event):
+    """Body of the sweep's helper thread: fill batches in order, in its buffer Z, onto filled.
+
+    It returns after the last batch, or before the next once stop is set. An
+    exception goes on filled in place of its batch, so the sweeping thread
+    raises it and never waits for a batch that will not come.
+    """
+    try:
+        for order in batches:
+            if stop.is_set():
+                return
+            filled.put(fill(order, Z))
+    except BaseException as exc:
+        filled.put(exc)
+
+
 def _tiled_raws(
-    basis: SvdBasis,
-    specs: list[ChaosSpec],
-    table: np.ndarray,
-    start: int,
-    trig,
-    batch: int,
-    skipped: list[tuple[int, str, str]],
+    basis: SvdBasis, specs: list[ChaosSpec], table: np.ndarray, start: int, trig, batch: int,
+    skipped: list[tuple[int, str, str]], spawn, stop: threading.Event,
 ):
     """Yield (spec, raw capacity, mean of the unit-norm target) for every swept spec.
 
     Specs are taken in prefix order, batch at a time, and each batch is
-    built, projected and reduced one time tile at a time. A tile's rows are
-    filled in blocks of _BLOCK_ROWS, each block's squared norms and sums are
-    reduced in one np.vecdot call each while it is in L2, and the tile is
-    then projected in one product. np.vecdot runs the dot kernel of
-    row @ row on each row, so the sums are bitwise the per-row ones. Specs
-    whose delays do not fit the window, or whose targets are degenerate, are
-    appended to skipped as (spec index, label, reason) instead.
+    filled by _fill_batch. Above rank 2, with two or more batches, a helper
+    thread (_sweep_helper), started by spawn for the caller to join, fills
+    the odd ones in a buffer of its own; this thread fills the even ones and
+    yields all in order. Specs whose delays do not fit the window, or whose
+    targets are degenerate, are appended to skipped as (spec index, label,
+    reason) instead.
     """
     T = basis.T
     # Unfit specs are set aside before the batches are cut: a gap in a batch
@@ -587,44 +655,23 @@ def _tiled_raws(
         (i for i, spec in enumerate(specs) if spec.max_delay <= start),
         key=lambda i: (specs[i].terms, specs[i].temporal is not None, specs[i].temporal),
     )
-    width = min(_TILE, T)
-    Z = np.empty((min(batch, len(trie_order)), width))
-    ones = np.ones(width)
-    for lo in range(0, len(trie_order), batch):
-        plan = []  # (spec index, ancestor row, terms left to multiply, time factor)
-        rows = {}  # (terms, temporal) -> row in plan
-        for i in trie_order[lo : lo + batch]:
-            spec = specs[i]
-            base, depth = _nearest_ancestor(rows, spec)
-            rows[spec.terms, spec.temporal] = len(plan)
-            factor = trig(*spec.temporal) if spec.temporal is not None else None
-            plan.append((i, base, spec.terms[depth:], factor))
-        b = len(plan)
-        S, ssq, sums = np.zeros((b, basis.rank)), np.zeros(b), np.zeros(b)
-        # Overflow and invalid operations here only arise in rows whose norm
-        # comes out non-finite, and those are reported as degenerate below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t0 in range(0, T, width):
-                t1 = min(t0 + width, T)
-                Zt, ones_t = Z[:b, : t1 - t0], ones[: t1 - t0]
-                for g in range(0, b, _BLOCK_ROWS):
-                    blk = slice(g, g + _BLOCK_ROWS)
-                    for j, (_, base, terms, factor) in enumerate(plan[blk], g):
-                        _fill_product(
-                            Zt[j],
-                            terms,
-                            table,
-                            start + t0,
-                            None if factor is None else factor[t0:t1],
-                            None if base is None else Zt[base],
-                        )
-                    ssq[blk] += np.vecdot(Zt[blk], Zt[blk])
-                    sums[blk] += np.vecdot(Zt[blk], ones_t)
-                S += Zt @ basis.P[t0:t1]
+    batches = [trie_order[lo : lo + batch] for lo in range(0, len(trie_order), batch)]
+    shape = (min(batch, len(trie_order)), min(_TILE, T))
+    fill = partial(_fill_batch, basis, specs, table, start, trig)
+    Z = _aligned_empty(shape)
+    two = basis.rank > 2 and len(batches) > 1
+    if two:
+        filled = queue.SimpleQueue()
+        spawn(_sweep_helper, "ipcap-sweep", fill, batches[1::2], _aligned_empty(shape), filled, stop)
+    for k, order in enumerate(batches):
+        item = filled.get() if two and k % 2 else fill(order, Z)
+        if isinstance(item, BaseException):
+            raise item
+        S, ssq, sums = item
         norms = np.sqrt(ssq)
         good = (0.0 < norms) & (norms < math.inf)
         for j in np.flatnonzero(~good):
-            i = plan[j][0]
+            i = order[j]
             skipped.append((i, specs[i].label(), f"degenerate target (norm {float(norms[j])})"))
         good = np.flatnonzero(good)
         norms = norms[good]
@@ -632,7 +679,7 @@ def _tiled_raws(
         raws = np.einsum("br,br->b", Sn, Sn)
         phi_means = sums[good] / norms / T
         for j, raw, phi_mean in zip(good, raws.tolist(), phi_means.tolist()):
-            yield specs[plan[j][0]], raw, phi_mean
+            yield specs[order[j]], raw, phi_mean
 
 
 def capacity_sweep(
@@ -652,9 +699,11 @@ def capacity_sweep(
     whose delays do not fit the window, or that are degenerate, are reported
     as skipped instead of aborting the sweep. With a threshold, the
     borderline targets go to one panel thread (_panel_worker) while this
-    thread sweeps on. That thread is joined before the sweep returns or
-    raises, and an exception raised on it is raised here. batch, the target
-    rows per batch, defaults to 16 at rank <= 2 and to 256 above.
+    thread sweeps on. batch, the target rows per batch, defaults to 16 at
+    rank <= 2 and to 128 above, where a sweep of more than one batch fills
+    them on this thread and one helper thread (_sweep_helper), with or
+    without a threshold. Both threads are joined before the sweep returns or
+    raises, and an exception raised on either is raised here.
     """
     if not specs:
         raise ParameterError("specs: sweep needs at least one chaos spec")
@@ -672,21 +721,21 @@ def capacity_sweep(
     skipped: list[tuple[int, str, str]] = []  # (spec index, label, reason)
     decided: dict[str, tuple[int, float, float]] = {}  # written by the panel thread
     failed: list[BaseException] = []
-    worker = None
+    stop, threads = threading.Event(), []
+
+    def spawn(target, name: str, *args) -> None:
+        # a daemon: a second interrupt during join must not keep the process alive
+        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+        threads.append(thread)
+        thread.start()
+
     if threshold is not None:
         stats = _basis_screen_stats(basis)
         constants = _screen_constants(threshold.n_surrogates, threshold.quantile_index())
-        jobs, stop = queue.SimpleQueue(), threading.Event()
-        worker = threading.Thread(
-            target=_panel_worker,
-            args=(basis, table, start, trig, threshold, jobs, stop, decided, failed),
-            name="ipcap-panel",
-            # a second interrupt during join must not keep the process alive
-            daemon=True,
-        )
-        worker.start()
+        jobs = queue.SimpleQueue()
+        spawn(_panel_worker, "ipcap-panel", basis, table, start, trig, threshold, jobs, stop, decided, failed)
     try:
-        for spec, raw, phi_mean in _tiled_raws(basis, specs, table, start, trig, batch, skipped):
+        for spec, raw, phi_mean in _tiled_raws(basis, specs, table, start, trig, batch, skipped, spawn, stop):
             label, order = spec.label(), spec.total_degree
             if threshold is None:
                 results[label] = (order, raw, raw)
@@ -699,14 +748,15 @@ def capacity_sweep(
             else:
                 jobs.put((spec, label, order, raw))
     except BaseException:
-        if worker is not None:
-            # the jobs still queued are dropped; the sweep is failing anyway
-            stop.set()
+        # the panel's queued jobs are dropped and the helper fills no more
+        # batches; the sweep is failing anyway
+        stop.set()
         raise
     finally:
-        if worker is not None:
+        if threshold is not None:
             jobs.put(None)
-            worker.join()
+        for thread in threads:
+            thread.join()
     if failed:
         raise failed[0]
     results.update(decided)

@@ -198,10 +198,16 @@ def _system_model(system: dict):
     return _build("system", build, _walk("system", keys, {k: v for k, v in system.items() if k != "kind"}))
 
 
-def _check_capacity(inp: dict, sweep: dict, values: dict) -> None:
+def _check_capacity(kind: str, inp: dict, sweep: dict, values: dict) -> None:
     """The cross-key rules of a capacity config; fills the sweep's derived defaults."""
     if "T" not in inp:
         raise ConfigError("input.T: required for capacity experiments")
+    # only run_tipc crosses the targets with harmonics
+    if kind == "ipc" and sweep["temporal"]:
+        raise ConfigError(
+            f"sweep.temporal: an ipc sweep has no temporal targets, but {list(sweep['temporal'])}"
+            " is given; use kind tipc"
+        )
     if ("distribution" in inp) == ("csv" in inp):
         raise ConfigError("input: exactly one of 'distribution' or 'csv' required")
     if "degree_blocks" not in sweep:
@@ -335,7 +341,7 @@ class ExperimentConfig:
             "threshold": None if threshold is None else _build("threshold", ThresholdConfig, threshold),
         }
         if capacity:
-            _check_capacity(blocks["input"], blocks["sweep"], values)
+            _check_capacity(blocks["kind"], blocks["input"], blocks["sweep"], values)
         else:
             _check_suite(blocks["system"], blocks["analysis"], values)
         blocks["output"].setdefault("basename", blocks["name"])

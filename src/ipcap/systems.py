@@ -81,19 +81,29 @@ def simulate_esn(config: EsnConfig, input_series: np.ndarray) -> StateMatrix:
         # below reports its first offending step; what it computes after that
         # step is discarded, so its overflow is not reported
         with np.errstate(over="ignore", invalid="ignore"):
-            # each step is computed in its own row of X, and x is the row before
-            for t in range(t0, t1):
-                row = X[t]
-                np.matmul(W, x, out=row)
-                row += drive[t]
-                if config.activation == "tanh":
+            # each step is computed in its own row of X, and x is the row
+            # before; the activation is chosen once per block, not per step
+            steps = zip(X[t0:t1], drive[t0:t1])
+            if config.activation == "linear":
+                for row, d in steps:
+                    np.dot(W, x, out=row)
+                    np.add(row, d, out=row)
+                    x = row
+            elif config.activation == "tanh":
+                for row, d in steps:
+                    np.dot(W, x, out=row)
+                    np.add(row, d, out=row)
                     np.tanh(row, out=row)
-                elif config.activation == "leaky_tanh":
+                    x = row
+            else:
+                for row, d in steps:
+                    np.dot(W, x, out=row)
+                    np.add(row, d, out=row)
                     np.multiply(x, keep, out=kept)
                     np.tanh(row, out=row)
-                    row *= mix
-                    row += kept
-                x = row
+                    np.multiply(row, mix, out=row)
+                    np.add(row, kept, out=row)
+                    x = row
         over = np.flatnonzero(np.abs(X[t0:t1]).max(axis=1) > ESN_DIVERGENCE_LIMIT)
         if over.size:
             raise DivergenceError(t0 + int(over[0]) + 1)

@@ -947,7 +947,7 @@ def test_tiled_sweep_matches_literal_targets(monkeypatch, tile, batch, threshold
 @pytest.mark.parametrize("tile", [7, 64])
 @pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, significance_pct=10.0, seed=3)])
 def test_tiled_sweep_at_rank_two_matches_literal_targets(monkeypatch, tile, threshold):
-    # the delay-1 input and the noise column: the default batch is 16 rows here, 256 at rank 6
+    # the delay-1 input and the noise column: the default batch is 16 rows here, 128 at rank 6
     case = tiled_sweep_case([0, 5])
     assert case[0].rank == 2
     check_tiled_sweep(monkeypatch, case, tile, None, threshold)
@@ -1075,3 +1075,147 @@ def test_delay_skipped_targets_do_not_move_the_other_raws():
     raws = {e.spec: e.raw_capacity for e in report.entries}
     assert len(raws) == len(fit)
     assert raws == {e.spec: e.raw_capacity for e in alone.entries}
+
+
+def two_worker_case(columns=6):
+    """285 specs over two tiles, the second ragged: at rank 6, three default batches of 128, 128 and 29 rows."""
+    T = 9000
+    zeta = sample_stream(DistributionSpec(kind="uniform"), T + 10, seed=137)
+    basis = decompose(StateMatrix(np.random.default_rng(139).normal(size=(T, columns))))
+    assert basis.rank == columns
+    return basis, zeta, enumerate_chaos(3, 10)
+
+
+def recording_helper(monkeypatch):
+    """Record the thread that each sweep helper runs on."""
+    started = []
+    real = ipcap.capacity._sweep_helper
+
+    def recording(*args):
+        started.append(threading.current_thread())
+        real(*args)
+
+    monkeypatch.setattr("ipcap.capacity._sweep_helper", recording)
+    return started
+
+
+def raws_of(report):
+    return {e.spec: e.raw_capacity for e in report.entries}
+
+
+def test_two_worker_raws_equal_the_sweeps_of_each_batch(monkeypatch):
+    # each 128-spec slice of the prefix order is one batch of the full sweep,
+    # and alone it is one batch on one worker; a short switch interval
+    # interleaves the sweeping thread and the helper finely
+    basis, zeta, specs = two_worker_case()
+    family = PolynomialFamily(kind="legendre")
+    started = recording_helper(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = capacity_sweep(basis, specs, family, zeta)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.name for t in started] == ["ipcap-sweep"]
+    ordered = sorted(specs, key=lambda s: (s.terms, s.temporal is not None, s.temporal))
+    alone = {}
+    for lo in range(0, len(ordered), 128):
+        alone.update(raws_of(capacity_sweep(basis, ordered[lo : lo + 128], family, zeta)))
+    assert not report.skipped and len(alone) == len(specs)
+    assert raws_of(report) == alone
+
+
+def test_rank_six_raws_without_a_threshold_are_those_of_longer_batches():
+    # Batches of 256 cut the specs as the one-thread sweep did by default
+    # (256 and 29 rows), and one batch of all of them runs on one worker. A
+    # GEMM row can round differently in the last bits when the rows that share
+    # the call cross OpenBLAS's small-matrix size (about 1e6 = M * N * K), as
+    # they do here on the 808-step tile, between M = 128 and M = 256. With a
+    # threshold the batches are the same, so the raws are bitwise the same.
+    basis, zeta, specs = two_worker_case()
+    family = PolynomialFamily(kind="legendre")
+    raws = raws_of(capacity_sweep(basis, specs, family, zeta))
+    assert len(raws) == len(specs)
+    for batch in (256, len(specs)):
+        longer = raws_of(capacity_sweep(basis, specs, family, zeta, batch=batch))
+        assert longer.keys() == raws.keys()
+        for label, raw in raws.items():
+            assert raw == pytest.approx(longer[label], rel=1e-12, abs=1e-15), (batch, label)
+    threshold = ThresholdConfig(n_surrogates=40, seed=5)
+    assert raws_of(capacity_sweep(basis, specs, family, zeta, threshold=threshold)) == raws
+    for spec in specs[::40]:
+        phi = literal_target(spec, family, zeta, 11, basis.T)
+        assert raws[spec.label()] == pytest.approx(literal_capacity(basis, phi), abs=1e-12)
+
+
+@pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, seed=5)])
+def test_sweep_joins_its_helper_after_a_normal_return(monkeypatch, threshold):
+    basis, zeta, specs = two_worker_case()
+    started = recording_helper(monkeypatch)
+    before = threading.active_count()
+    capacity_sweep(basis, specs, PolynomialFamily(kind="legendre"), zeta, threshold=threshold)
+    assert [t.name for t in started] == ["ipcap-sweep"]
+    assert not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threshold", [None, ThresholdConfig(n_surrogates=40, seed=5)])
+@pytest.mark.parametrize(
+    "on_helper, exc",
+    [(False, RuntimeError("tile")), (False, KeyboardInterrupt()), (True, MemoryError("helper"))],
+)
+def test_sweep_failure_joins_its_helper(monkeypatch, threshold, on_helper, exc):
+    # the sweeping thread fails on its first batch while the helper is still
+    # filling its own, or the helper fails on its batch while the sweeping
+    # thread fills the first
+    basis, zeta, specs = two_worker_case()
+    started = recording_helper(monkeypatch)
+    real_fill = ipcap.capacity._fill_batch
+    sweeping = threading.current_thread()
+
+    def failing(*args):
+        helper = threading.current_thread() is not sweeping
+        if helper == on_helper:
+            raise exc
+        if helper:
+            time.sleep(0.05)
+        return real_fill(*args)
+
+    monkeypatch.setattr("ipcap.capacity._fill_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(type(exc)) as raised:
+        capacity_sweep(basis, specs, PolynomialFamily(kind="legendre"), zeta, threshold=threshold)
+    assert raised.value is exc
+    assert [t.name for t in started] == ["ipcap-sweep"]
+    assert not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("columns", [1, 2, 6])
+def test_sweep_starts_a_helper_only_above_rank_two_with_two_batches(monkeypatch, columns):
+    basis, zeta, specs = two_worker_case(columns)
+    family = PolynomialFamily(kind="legendre")
+    started = recording_helper(monkeypatch)
+    capacity_sweep(basis, specs[:128], family, zeta)  # one batch at any rank
+    assert started == []
+    capacity_sweep(basis, specs, family, zeta)  # 18 batches at rank <= 2, 3 above
+    assert [t.name for t in started] == (["ipcap-sweep"] if columns > 2 else [])
+
+
+@pytest.mark.parametrize("columns", [1, 6])
+def test_raws_do_not_depend_on_the_buffer_alignment(monkeypatch, columns):
+    # the tile buffers start on a cache line for speed; 16 bytes past one,
+    # where malloc may leave them, every fill, reduction and product gives
+    # the same bits
+    basis, zeta, specs = two_worker_case(columns)
+    family = PolynomialFamily(kind="legendre")
+    real = ipcap.capacity._aligned_empty
+    assert real((3, 5)).ctypes.data % 64 == 0 and real((3, 5)).shape == (3, 5)
+    aligned = raws_of(capacity_sweep(basis, specs, family, zeta))
+
+    def off_line(shape):
+        size = shape[0] * shape[1]
+        return real((1, size + 2))[0, 2:].reshape(shape)
+
+    monkeypatch.setattr("ipcap.capacity._aligned_empty", off_line)
+    assert raws_of(capacity_sweep(basis, specs, family, zeta)) == aligned

@@ -394,6 +394,13 @@ NAMED = {
     "esn_1d_without_rho": ("ipc", capacity_config(system={"kind": "esn_1d"}), "system.rho"),
     # JSON's NaN and Infinity literals: a NaN rho used to simulate and then
     # exit 3, an infinite mu to report total 0 with exit 0
+    # only a tipc sweep crosses its targets with harmonics; an ipc one used
+    # to run and report no temporal target
+    "ipc_temporal": (
+        "ipc",
+        capacity_config(sweep={"family": {"kind": "legendre"}, "degree_blocks": [[1, 2]], "temporal": [7]}),
+        "sweep.temporal",
+    ),
     "esn_1d_rho_nan": ("ipc", capacity_config(system={"kind": "esn_1d", "rho": math.nan}), "system.rho"),
     "shaping_mu_infinity": (
         "ipc",

@@ -15,7 +15,10 @@ blocks, and the table shows whether the kept sets, the skip lists (order
 included) and the ranks are equal, and the largest |raw capacity difference|
 over the targets. For a NARMA suite it shows whether the two runs wrote the
 same files with the same bytes. Every row gives the seconds and the peak RSS
-(ru_maxrss, MiB) of each run. The exit status is 1 if any config, decision,
+(ru_maxrss, MiB) of each run. Each run gets its own fresh, empty
+PYTHONPYCACHEPREFIX, so both trees compile from source whatever
+`__pycache__` either holds: an import from `.pyc` files peaks lower than
+one from source, and the MiB columns would compare the two. The exit status is 1 if any config, decision,
 skip, rank, meta or threshold block differs, if a raw capacity moves by more
 than 1e-12, or if a NARMA suite's output files differ in any byte; otherwise 0.
 """
@@ -70,9 +73,11 @@ def _python(src: str, code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
-    )
+    with tempfile.TemporaryDirectory() as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+        )
     if done.returncode != 0:
         raise SystemExit(f"{src}: {' '.join(args) or 'preset list'} failed:\n{done.stderr}")
     return done.stdout
